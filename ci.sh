@@ -14,8 +14,10 @@
 # to the serial engine), a cycle-accounting gate (the fig_breakdown
 # sweep must match its golden, a traced run must pass the breakdown
 # conservation rows in `analyze --validate`, and a sed-forged stall
-# component must fail naming the broken identity), and a doc-link check
-# (every binary, flag and results/ file named in the docs must exist).
+# component must fail naming the broken identity), a doc-link check
+# (every binary, flag and results/ file named in the docs must exist),
+# and the repository benchmark's unit tests and smoke run (benchmark/
+# must keep building against crates/ and end "ok":true).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -393,6 +395,19 @@ for f in $(grep -ohE 'results/[A-Za-z0-9_.]+' $docs | sort -u); do
 done
 [ "$docfail" -eq 0 ]
 echo "doc-link check: every named binary, flag and results/ file exists"
+
+echo "== repository benchmark: unit tests + smoke run =="
+# benchmark/ is a package of its own, not a workspace member, so nothing
+# above compiles it: a signature change under crates/ that breaks it
+# would first be seen by the merge pipeline, as failed operations. Run
+# its unit tests, then its smoke run (every size / 20) for the exit
+# status only: non-zero unless every correctness and workload-separation
+# check passed ("ok":true). No timing gate: this host's run-to-run
+# spread is 2-11 % in a calm spell (benchmark/README.md).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
+benchmark/run.sh --smoke > "$tdir/benchmark_smoke.txt"
+grep -q '"ok":true' "$tdir/benchmark_smoke.txt"
+echo "benchmark: unit tests pass, smoke run ok"
 
 echo "== bench smoke: bench_suite schema + regression gate =="
 # Runs the microbenchmark suite at ci scale (min-of-3 timing),

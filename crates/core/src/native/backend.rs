@@ -58,6 +58,7 @@
 //! scout window from post-mutation state — the cheap, obviously
 //! correct staleness guard.
 
+use super::codec::PagedNode;
 use super::tree::{materialize_tree, ns_since, PagedTree};
 use crate::descriptor::{Admit, AdmitCtx, Descriptor};
 use crate::ixcache::IxCache;
@@ -414,7 +415,7 @@ impl NativeRun {
                 let node = io(tree.read_node(hit.node));
                 match tree.descend_in(&node, req.key) {
                     Descend::Child(c) => {
-                        let (path, leaf) = io(tree.path_from(c, req.key));
+                        let (path, leaf) = io(tree.path_nodes_from(c, req.key));
                         (path, leaf, skipped)
                     }
                     leaf @ Descend::Leaf { .. } => (Vec::new(), leaf, skipped),
@@ -422,7 +423,7 @@ impl NativeRun {
             }
             None => {
                 self.stats.misses += 1;
-                let (path, leaf) = io(tree.path_from(tree.root(), req.key));
+                let (path, leaf) = io(tree.path_nodes_from(tree.root(), req.key));
                 (path, leaf, 0)
             }
         };
@@ -445,8 +446,11 @@ impl NativeRun {
             );
         }
 
+        // Each fetched node travels with its decoded contents, so an
+        // admitted one enters the hot map without a second page read.
+        let scan_start = path.last().map(|(i, ..)| *i).or(probe.map(|h| h.node));
         let mut fetches: Vec<(u64, u64)> = Vec::with_capacity(path.len());
-        for &(id, info) in &path {
+        for (id, info, node) in path {
             fetches.push((info.addr.get(), info.bytes));
             Self::admit_node(
                 &mut self.trees[idx],
@@ -457,17 +461,17 @@ impl NativeRun {
                 req.index,
                 id,
                 &info,
+                node,
                 &ctx,
             );
         }
 
         // Range scan: probe per scanned leaf, fetch and admit misses.
-        let scan_start = path.last().map(|&(i, _)| i).or(probe.map(|h| h.node));
         if let Some(start) = scan_start {
             let t0 = std::time::Instant::now();
-            let chain = io(self.trees[idx].scan_chain(start, req.scan_leaves));
+            let chain = io(self.trees[idx].scan_chain_nodes(start, req.scan_leaves));
             self.phase.node_scan_ns += ns_since(t0);
-            for (id, info) in chain {
+            for (id, info, node) in chain {
                 let bits = self.cache.as_mut().expect("metal design has a cache");
                 let scan_set = if observing {
                     bits.cache.probe_set(req.index, info.lo)
@@ -511,6 +515,7 @@ impl NativeRun {
                         req.index,
                         id,
                         &info,
+                        node,
                         &ctx,
                     );
                 }
@@ -566,8 +571,9 @@ impl NativeRun {
     }
 
     /// Descriptor decision + insertion for one fetched node (port of the
-    /// simulator's `admit_node`). On insert the node also enters the
-    /// tree's hot map — the cache now holds a live pointer to it.
+    /// simulator's `admit_node`). On insert the node's decoded contents
+    /// also enter the tree's hot map — the cache now holds a live
+    /// pointer to it.
     #[allow(clippy::too_many_arguments)]
     fn admit_node(
         tree: &mut PagedTree,
@@ -578,6 +584,7 @@ impl NativeRun {
         index_id: u8,
         id: NodeId,
         info: &metal_index::NodeInfo,
+        node: PagedNode,
         ctx: &AdmitCtx,
     ) {
         let observing = sink.is_some();
@@ -603,13 +610,8 @@ impl NativeRun {
                 }
                 bits.cache
                     .insert(index_id, id, range, info.level, info.bytes, life);
-                // Recording is always on natively (the drains double as
-                // hot-map bookkeeping); emit only when observed.
-                let fills: Vec<_> = bits.cache.drain_fills().collect();
-                let evicts: Vec<_> = bits.cache.drain_evictions().collect();
-                let coalesces: Vec<_> = bits.cache.drain_coalesces().collect();
                 if observing {
-                    for f in fills {
+                    for f in bits.cache.drain_fills() {
                         emit_to(
                             sink,
                             clock,
@@ -622,7 +624,7 @@ impl NativeRun {
                             },
                         );
                     }
-                    for co in coalesces {
+                    for co in bits.cache.drain_coalesces() {
                         emit_to(
                             sink,
                             clock,
@@ -634,7 +636,7 @@ impl NativeRun {
                             },
                         );
                     }
-                    for e in evicts {
+                    for e in bits.cache.drain_evictions() {
                         emit_to(
                             sink,
                             clock,
@@ -652,7 +654,7 @@ impl NativeRun {
                     }
                 }
                 stats.inserts += 1;
-                io(tree.admit_hot(id));
+                tree.admit_hot_node(id, node);
             }
             Admit::Bypass => {
                 stats.bypasses += 1;
@@ -871,10 +873,8 @@ fn run_native_shard(
         pending_dram: Vec::new(),
         phase: PhaseNs::default(),
     };
-    // Recording stays on: the drains double as hot-map bookkeeping, and
-    // recording never changes cache decisions.
     if let Some(bits) = &mut run.cache {
-        bits.cache.set_recording(true);
+        bits.cache.set_recording(run.sink.is_some());
     }
 
     let width = cfg.mlp_width();
@@ -921,6 +921,9 @@ fn run_native_shard(
         s.borrow_mut().flush();
     }
 
+    if let Some(bits) = &run.cache {
+        debug_assert_eq!(bits.cache.check_invariants(), Ok(()));
+    }
     run.stats.index_blocks = run.trees.iter().map(|t| t.total_blocks()).sum();
     let max_depth = run.trees.iter().map(|t| t.depth()).max().unwrap_or(1);
     let occupancy_by_level = run

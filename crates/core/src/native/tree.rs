@@ -156,6 +156,9 @@ pub struct PagedTree {
     io: TreeIoStats,
 }
 
+/// A node a walk fetched, with the decoded contents still in hand.
+pub type FetchedNode = (NodeId, NodeInfo, PagedNode);
+
 /// Records `[lo, hi]` as stale at `level` and every level below it
 /// (mirrors the `metal-index` original, which is private).
 fn push_stale(report: &mut MutationReport, level: u8, lo: Key, hi: Key, op: MutKind) {
@@ -543,13 +546,35 @@ impl PagedTree {
         from: NodeId,
         key: Key,
     ) -> Result<(Vec<(NodeId, NodeInfo)>, Descend)> {
+        self.path_with(from, key, |id, info, _| (id, info))
+    }
+
+    /// [`PagedTree::path_from`] that also hands back each node's decoded
+    /// contents, for a caller about to [`PagedTree::admit_hot_node`]
+    /// them.
+    pub fn path_nodes_from(
+        &mut self,
+        from: NodeId,
+        key: Key,
+    ) -> Result<(Vec<FetchedNode>, Descend)> {
+        self.path_with(from, key, |id, info, node| (id, info, node))
+    }
+
+    #[inline]
+    fn path_with<T>(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        keep: impl Fn(NodeId, NodeInfo, PagedNode) -> T,
+    ) -> Result<(Vec<T>, Descend)> {
         let mut path = Vec::with_capacity(self.depth as usize);
         let mut id = from;
         loop {
             let node = self.read_node(id)?;
             let info = self.info_of(id, &node);
-            path.push((id, info));
-            match self.descend_in(&node, key) {
+            let step = self.descend_in(&node, key);
+            path.push(keep(id, info, node));
+            match step {
                 Descend::Child(c) => id = c,
                 leaf @ Descend::Leaf { .. } => return Ok((path, leaf)),
             }
@@ -558,6 +583,22 @@ impl PagedTree {
 
     /// The extra leaves a range scan visits after landing on `first`.
     pub fn scan_chain(&mut self, first: NodeId, hops: u32) -> Result<Vec<(NodeId, NodeInfo)>> {
+        self.chain_with(first, hops, |id, info, _| (id, info))
+    }
+
+    /// [`PagedTree::scan_chain`] that also hands back each leaf's
+    /// decoded contents (see [`PagedTree::path_nodes_from`]).
+    pub fn scan_chain_nodes(&mut self, first: NodeId, hops: u32) -> Result<Vec<FetchedNode>> {
+        self.chain_with(first, hops, |id, info, node| (id, info, node))
+    }
+
+    #[inline]
+    fn chain_with<T>(
+        &mut self,
+        first: NodeId,
+        hops: u32,
+        keep: impl Fn(NodeId, NodeInfo, PagedNode) -> T,
+    ) -> Result<Vec<T>> {
         let mut out = Vec::with_capacity(hops as usize);
         let mut cur = first;
         for _ in 0..hops {
@@ -569,7 +610,7 @@ impl PagedTree {
             match next {
                 Some(n) => {
                     let nn = self.read_node(n)?;
-                    out.push((n, self.info_of(n, &nn)));
+                    out.push(keep(n, self.info_of(n, &nn), nn));
                     cur = n;
                 }
                 None => break,
@@ -586,6 +627,13 @@ impl PagedTree {
             self.hot.insert(id, n);
         }
         Ok(())
+    }
+
+    /// [`PagedTree::admit_hot`] for a caller that still holds the `node`
+    /// a [`PagedTree::read_node`] of `id` returned, with no write to the
+    /// tree since: saves reading and decoding the page a second time.
+    pub fn admit_hot_node(&mut self, id: NodeId, node: PagedNode) {
+        self.hot.entry(id).or_insert(node);
     }
 
     /// Drops hot nodes the IX-cache no longer references.
@@ -1475,5 +1523,40 @@ mod tests {
         assert_eq!(paged.hot_len(), 0);
         let _ = paged.read_node(root).unwrap();
         assert_eq!(paged.io_stats().cold_reads, after.cold_reads + 1);
+    }
+
+    #[test]
+    fn nodes_in_hand_enter_the_hot_map_without_a_second_read() {
+        let ks = keys(400, 3);
+        let sim = BPlusTree::bulk_load(&ks, 4, Addr::new(0), 16);
+        let mut paged = materialize_tree(&sim).unwrap();
+        let (root, key) = (paged.root(), ks[137]);
+        let (plain, leaf) = paged.path_from(root, key).unwrap();
+        let (fetched, same_leaf) = paged.path_nodes_from(root, key).unwrap();
+        assert_eq!(leaf, same_leaf);
+        let walked = paged.io_stats().cold_reads;
+        assert_eq!(walked, 2 * plain.len() as u64, "nothing was hot yet");
+        for ((id, info, node), &(plain_id, plain_info)) in fetched.into_iter().zip(&plain) {
+            assert_eq!((id, info), (plain_id, plain_info));
+            assert_eq!(node.encode(), paged.read_node(id).unwrap().encode());
+            paged.admit_hot_node(id, node);
+        }
+        let admitted = paged.io_stats();
+        assert_eq!(admitted.cold_reads, walked + plain.len() as u64);
+        assert_eq!(paged.hot_len(), plain.len());
+        // The same walk again is served from the hot map alone.
+        assert_eq!(paged.path_from(root, key).unwrap(), (plain, leaf));
+        let again = paged.io_stats();
+        assert_eq!(again.cold_reads, admitted.cold_reads);
+        assert_eq!(again.hot_hits, admitted.hot_hits + paged.hot_len() as u64);
+        // A chained leaf comes back the same way.
+        let first = paged.path_from(root, ks[0]).unwrap().0.last().unwrap().0;
+        let chain = paged.scan_chain(first, 3).unwrap();
+        let with_nodes = paged.scan_chain_nodes(first, 3).unwrap();
+        assert_eq!(chain.len(), 3);
+        for ((id, info, node), &(plain_id, plain_info)) in with_nodes.into_iter().zip(&chain) {
+            assert_eq!((id, info), (plain_id, plain_info));
+            assert_eq!(node.encode(), paged.read_node(id).unwrap().encode());
+        }
     }
 }

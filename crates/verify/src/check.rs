@@ -5,9 +5,10 @@
 //! (residency snapshot, all regimes) and — in ample-capacity scenarios
 //! — with the [`HistoryOracle`] (retention: nothing may be spuriously
 //! dropped). Structural invariants (occupancy bound, segment
-//! justification, counter coherence) run alongside. Everything returns
-//! a [`Divergence`] naming the first failing op so the shrinker can
-//! minimize on "still fails".
+//! justification, counter coherence, and at the end of the run the
+//! cache's own [`IxCache::check_invariants`]) run alongside.
+//! Everything returns a [`Divergence`] naming the first failing op so
+//! the shrinker can minimize on "still fails".
 
 use crate::oracle::{spec_probe, HistoryOracle};
 use crate::scenario::{Op, Scenario, ALL_LEVELS};
@@ -267,6 +268,11 @@ pub fn run_scenario(s: &Scenario) -> Result<(), Divergence> {
             end,
             format!("{} evictions in an ample-capacity scenario", st.evictions),
         );
+    }
+    // The cache's own bookkeeping: interval overlays mirror the entry
+    // storage, the occupancy count is exact, entries are conserved.
+    if let Err(what) = cache.check_invariants() {
+        return fail(end, what);
     }
     Ok(())
 }

@@ -22,8 +22,13 @@
 
 use metal_core::ixcache::{IxCache, IxConfig};
 use metal_core::range::KeyRange;
+use metal_index::bptree::BPlusTree;
+use metal_index::WalkIndex;
+use metal_sim::obs::WIDE_SET;
 use metal_sim::rng::SplitRng;
+use metal_sim::types::Addr;
 use metal_verify::oracle::spec_probe;
+use metal_workloads::datasets::sparse_keys;
 
 /// One randomized run over a fixed geometry: every probe must agree
 /// across the indexed path, the reference path and the spec oracle,
@@ -127,4 +132,101 @@ fn probe_equivalence_long_churn_default_geometry() {
     // interval overlay's lazy prefix bounds go through many rebuild
     // cycles while the three probe views stay in lockstep.
     drive(IxConfig::kb64(), 0xD0_5E_ED, 4000);
+}
+
+#[test]
+fn probe_equivalence_at_the_benchmark_operating_point() {
+    // The sweeps above use four levels, spans of at most 4 096 keys and
+    // at most 512 entries; the repository benchmark lives elsewhere: a
+    // depth-10 tree over sparse keys, whose node ranges all straddle a
+    // 16-key block (fills are wide) and whose interior nodes exceed one
+    // block (fills are split-packed), holding the 1 024-entry wide
+    // partition full. Ranges, levels and byte sizes come from the tree;
+    // each walk probes, then admits the path below its hit, as
+    // `metal-ix` does.
+    let keys = sparse_keys(200_000, 8, 0x5CA7);
+    let tree = BPlusTree::bulk_load_with_depth(&keys, 10, Addr::new(0), 64);
+    assert_eq!(tree.depth(), 10);
+    let mut fast = IxCache::new(IxConfig::kb64());
+    let mut slow = IxCache::new(IxConfig::kb64());
+    let mut rng = SplitRng::stream(0x5CA7, 1);
+    let mut path = Vec::new();
+    let mut fills_when_full = 0;
+    let mut walk = 0u64;
+    while fills_when_full < 50_000 {
+        walk += 1;
+        // A hot region that drifts, a uniform tail, and absent keys.
+        let hot = (walk as usize * 3 + rng.gen_range(0..4_000usize)) % keys.len();
+        let key = match rng.gen_range(0..8u64) {
+            0 => keys[rng.gen_range(0..keys.len())] + 1,
+            1 | 2 => keys[rng.gen_range(0..keys.len())],
+            _ => keys[hot],
+        };
+        let spec = walk.is_multiple_of(16).then(|| {
+            let set = fast.probe_set(0, key);
+            spec_probe(&fast.snapshot(), 0, key, set).map(|h| (h.node, h.level, h.range))
+        });
+        let hit = fast.probe(0, key);
+        assert_eq!(hit, slow.probe_reference(0, key), "walk {walk}, key {key}");
+        if let Some(spec) = spec {
+            assert_eq!(hit.map(|h| (h.node, h.level, h.range)), spec, "walk {walk}");
+        }
+
+        path.clear();
+        tree.walk(key, |id, info| path.push((id, *info)));
+        let full = fast.occupancy() == fast.entries();
+        let before = fast.stats().inserts;
+        for (id, info) in &path {
+            if hit.is_none_or(|h| info.level < h.level) {
+                let range = KeyRange::new(info.lo, info.hi);
+                fast.insert(0, *id, range, info.level, info.bytes, 0);
+                slow.insert(0, *id, range, info.level, info.bytes, 0);
+            }
+        }
+        if full {
+            fills_when_full += fast.stats().inserts - before;
+        }
+
+        // Invalidation storms: what a burst of leaf splits and merges
+        // under one subtree sends (`Some(level)` spans from the leaf
+        // up), and now and then an all-level wipe of a key stretch.
+        if walk.is_multiple_of(64) {
+            for _ in 0..rng.gen_range(4..24u64) {
+                let k = keys[(hot + rng.gen_range(0..512usize)) % keys.len()];
+                path.clear();
+                tree.walk(k, |id, info| path.push((id, *info)));
+                let top = rng.gen_range(1..=3usize).min(path.len());
+                for (_, info) in path.iter().rev().take(top) {
+                    let stale = KeyRange::new(info.lo, info.hi);
+                    fast.invalidate_range(0, Some(info.level), stale);
+                    slow.invalidate_range(0, Some(info.level), stale);
+                }
+            }
+            if walk.is_multiple_of(1024) {
+                let stale = KeyRange::new(key, key + rng.gen_range(1..20_000u64));
+                fast.invalidate_range(0, None, stale);
+                slow.invalidate_range(0, None, stale);
+            }
+        }
+        if walk.is_multiple_of(256) {
+            assert_eq!(fast.snapshot(), slow.snapshot(), "walk {walk}");
+            fast.check_invariants()
+                .unwrap_or_else(|e| panic!("walk {walk}: {e}"));
+        }
+    }
+
+    assert_eq!(fast.snapshot(), slow.snapshot());
+    assert_eq!(fast.stats(), slow.stats());
+    fast.check_invariants().unwrap();
+    let snap = fast.snapshot();
+    let wide = snap.iter().filter(|e| e.set == WIDE_SET).count();
+    assert!(
+        wide * 100 >= snap.len() * 95,
+        "{wide} of {} wide",
+        snap.len()
+    );
+    let split_packed = snap.windows(2).any(|w| w[0].segs[0].1 == w[1].segs[0].1);
+    assert!(split_packed, "no node spans two entries");
+    let st = fast.stats();
+    assert!(st.evictions >= 50_000 - 1_024 && st.invalidation_kills > 1_000);
 }
