@@ -8,8 +8,10 @@
 # time-resolved telemetry gate (per-epoch window sums must conserve and
 # the series must be worker-count invariant), and a native-execution
 # gate (sim and native backends must agree on every semantic outcome,
-# the measured-telemetry path must analyze clean, and a corrupted block
-# file must die with a contextful error), an MLP gate (the fig_mlp
+# the measured-telemetry path must analyze clean, a corrupted block
+# file must die with a contextful error, and the native fuzz swarm must
+# stay clean both over its default width sweep and pinned to the widest
+# MLP window), an MLP gate (the fig_mlp
 # sweep must match its golden and --mlp-width 1 must be byte-identical
 # to the serial engine), a cycle-accounting gate (the fig_breakdown
 # sweep must match its golden, a traced run must pass the breakdown
@@ -163,6 +165,12 @@ echo "mutation fuzz smoke: 600 CRUD cases, zero divergences"
 # crates/verify/corpus/ like the IX-cache swarms.
 ./target/debug/ix_fuzz --cases 600 --seed 44 --backend native
 echo "native fuzz smoke: 600 end-to-end cases, zero sim/native divergences"
+# The same swarm pinned to the widest MLP window. A mutation clears the
+# prefetch stage once, when it flushes its frames, so the reads it makes
+# on the way can still be served by nodes scouts staged before it — the
+# default sweep draws width 8 for only a quarter of its cases.
+./target/debug/ix_fuzz --cases 300 --seed 45 --backend native --mlp-width 8
+echo "native fuzz smoke, width 8: 300 end-to-end cases, zero sim/native divergences"
 # The --verify flag cross-checks a subsample of every figure workload
 # against the reference accounting model, without touching the CSV.
 ./target/release/fig15_miss_rate --scale ci --verify > "$tdir/verify.csv" 2> /dev/null

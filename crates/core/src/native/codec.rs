@@ -1,299 +1,9 @@
-//! Serialization of B+tree nodes for paged storage.
+//! The paged node and its byte codec.
 //!
-//! A [`PagedNode`] is the native backend's materialized node: the same
-//! contents a [`metal_index::bptree::BPlusTree`] node carries, encoded
-//! little-endian into a self-describing byte payload that lives in one
-//! [`super::blockfile::BlockFile`] extent. The encode/decode split is
-//! deliberate: serialization is infallible, deserialization returns a
-//! contextful error so a corrupted or truncated payload surfaces as a
-//! diagnosis, not a panic.
-//!
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! tag:u8 (0 interior, 1 leaf)  dead:u8  level:u8  pad:u8
-//! lo:u64  hi:u64
-//! interior: n_seps:u32  n_children:u32  seps[n]:u64  children[m]:u32
-//! leaf:     n_keys:u32  has_next:u32    keys[n]:u64  ranks[n]:u64  next:u32
-//! ```
+//! Both now live in `metal-index` beside the mutation algorithm
+//! ([`metal_index::bpnode`]): the in-memory tree and the paged tree share
+//! one node type, so what a [`super::blockfile::BlockFile`] extent holds
+//! is simply that node, encoded. The names the native backend grew up
+//! with remain as re-exports.
 
-use metal_index::bptree::NodeExport;
-use metal_index::NodeId;
-use metal_sim::types::Key;
-
-/// A deserialized index node as the native backend walks it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PagedNode {
-    /// Level counted from the leaves (leaf = 0).
-    pub level: u8,
-    /// Smallest key reachable through this node.
-    pub lo: Key,
-    /// Largest key reachable through this node (inclusive).
-    pub hi: Key,
-    /// True once the node was merged away (kept readable, like the
-    /// simulator keeps dead nodes in its node vec, so a racing cached
-    /// pointer resolves to the same emptied contents).
-    pub dead: bool,
-    /// Keys and pointers.
-    pub kind: PagedKind,
-}
-
-/// Contents of a [`PagedNode`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PagedKind {
-    /// Interior node: separators and child pointers.
-    Interior {
-        /// `seps[i]` is the smallest key of `children[i + 1]`.
-        seps: Vec<Key>,
-        /// Child node ids.
-        children: Vec<NodeId>,
-    },
-    /// Leaf node: keys, record ranks and the right-sibling link.
-    Leaf {
-        /// Sorted keys.
-        keys: Vec<Key>,
-        /// Record rank per key.
-        ranks: Vec<u64>,
-        /// Next leaf to the right.
-        next: Option<NodeId>,
-    },
-}
-
-impl PagedNode {
-    /// Builds a paged node from a [`BPlusTree`] export.
-    ///
-    /// [`BPlusTree`]: metal_index::bptree::BPlusTree
-    pub fn from_export(e: &metal_index::bptree::ExportedNode) -> Self {
-        let kind = match &e.contents {
-            NodeExport::Interior { seps, children } => PagedKind::Interior {
-                seps: seps.clone(),
-                children: children.clone(),
-            },
-            NodeExport::Leaf { keys, ranks, next } => PagedKind::Leaf {
-                keys: keys.clone(),
-                ranks: ranks.clone(),
-                next: *next,
-            },
-        };
-        PagedNode {
-            level: e.level,
-            lo: e.lo,
-            hi: e.hi,
-            dead: e.dead,
-            kind,
-        }
-    }
-
-    /// Number of keys the node stores (separators for interior nodes),
-    /// as exposed in [`metal_index::NodeInfo::keys`].
-    pub fn key_count(&self) -> u16 {
-        match &self.kind {
-            PagedKind::Interior { seps, .. } => seps.len() as u16,
-            PagedKind::Leaf { keys, .. } => keys.len() as u16,
-        }
-    }
-
-    /// Serializes the node into a fresh payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        let tag = match self.kind {
-            PagedKind::Interior { .. } => 0u8,
-            PagedKind::Leaf { .. } => 1u8,
-        };
-        out.extend_from_slice(&[tag, self.dead as u8, self.level, 0]);
-        out.extend_from_slice(&self.lo.to_le_bytes());
-        out.extend_from_slice(&self.hi.to_le_bytes());
-        match &self.kind {
-            PagedKind::Interior { seps, children } => {
-                out.extend_from_slice(&(seps.len() as u32).to_le_bytes());
-                out.extend_from_slice(&(children.len() as u32).to_le_bytes());
-                for s in seps {
-                    out.extend_from_slice(&s.to_le_bytes());
-                }
-                for c in children {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-            }
-            PagedKind::Leaf { keys, ranks, next } => {
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                out.extend_from_slice(&(next.is_some() as u32).to_le_bytes());
-                for k in keys {
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
-                for r in ranks {
-                    out.extend_from_slice(&r.to_le_bytes());
-                }
-                out.extend_from_slice(&next.unwrap_or(0).to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Deserializes a node payload, reporting what was malformed when
-    /// the bytes do not decode.
-    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Reader { bytes, pos: 0 };
-        let tag = r.u8()?;
-        let dead = r.u8()? != 0;
-        let level = r.u8()?;
-        r.u8()?; // pad
-        let lo = r.u64()?;
-        let hi = r.u64()?;
-        let kind = match tag {
-            0 => {
-                let n_seps = r.u32()? as usize;
-                let n_children = r.u32()? as usize;
-                if n_children > (1 << 24) || n_seps > (1 << 24) {
-                    return Err(format!(
-                        "implausible interior node: {n_seps} seps, {n_children} children"
-                    ));
-                }
-                let mut seps = Vec::with_capacity(n_seps);
-                for _ in 0..n_seps {
-                    seps.push(r.u64()?);
-                }
-                let mut children = Vec::with_capacity(n_children);
-                for _ in 0..n_children {
-                    children.push(r.u32()?);
-                }
-                PagedKind::Interior { seps, children }
-            }
-            1 => {
-                let n_keys = r.u32()? as usize;
-                let has_next = r.u32()?;
-                if n_keys > (1 << 24) || has_next > 1 {
-                    return Err(format!(
-                        "implausible leaf node: {n_keys} keys, has_next {has_next}"
-                    ));
-                }
-                let mut keys = Vec::with_capacity(n_keys);
-                for _ in 0..n_keys {
-                    keys.push(r.u64()?);
-                }
-                let mut ranks = Vec::with_capacity(n_keys);
-                for _ in 0..n_keys {
-                    ranks.push(r.u64()?);
-                }
-                let next_id = r.u32()?;
-                PagedKind::Leaf {
-                    keys,
-                    ranks,
-                    next: (has_next == 1).then_some(next_id),
-                }
-            }
-            t => return Err(format!("unknown node tag {t}")),
-        };
-        Ok(PagedNode {
-            level,
-            lo,
-            hi,
-            dead,
-            kind,
-        })
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        if self.pos + n > self.bytes.len() {
-            return Err(format!(
-                "truncated node payload: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len()
-            ));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn leaf(n: usize, next: Option<NodeId>) -> PagedNode {
-        PagedNode {
-            level: 0,
-            lo: 10,
-            hi: 10 + n as u64,
-            dead: false,
-            kind: PagedKind::Leaf {
-                keys: (0..n as u64).map(|k| 10 + k).collect(),
-                ranks: (0..n as u64).map(|k| 1000 + k).collect(),
-                next,
-            },
-        }
-    }
-
-    fn interior(n: usize) -> PagedNode {
-        PagedNode {
-            level: 3,
-            lo: 0,
-            hi: u64::MAX,
-            dead: false,
-            kind: PagedKind::Interior {
-                seps: (1..n as u64).collect(),
-                children: (0..n as u32).collect(),
-            },
-        }
-    }
-
-    #[test]
-    fn round_trip_across_node_shapes() {
-        for node in [
-            leaf(0, None),
-            leaf(1, Some(7)),
-            leaf(9, Some(0)),
-            leaf(512, None),
-            interior(2),
-            interior(256),
-            PagedNode {
-                dead: true,
-                ..leaf(0, None)
-            },
-        ] {
-            let bytes = node.encode();
-            assert_eq!(PagedNode::decode(&bytes).unwrap(), node);
-        }
-    }
-
-    #[test]
-    fn truncated_payload_is_an_error() {
-        let bytes = leaf(9, Some(3)).encode();
-        for cut in [0, 1, 5, bytes.len() - 1] {
-            let err = PagedNode::decode(&bytes[..cut]).expect_err("truncation detected");
-            assert!(err.contains("truncated"), "{err}");
-        }
-    }
-
-    #[test]
-    fn bad_tag_and_implausible_counts_are_errors() {
-        let mut bytes = leaf(2, None).encode();
-        bytes[0] = 9;
-        assert!(PagedNode::decode(&bytes).unwrap_err().contains("tag"));
-        let mut bytes = interior(4).encode();
-        // Blow up the children count field (header is 20 bytes, then
-        // n_seps at 20..24 and n_children at 24..28).
-        bytes[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = PagedNode::decode(&bytes).unwrap_err();
-        assert!(err.contains("implausible"), "{err}");
-    }
-}
+pub use metal_index::bpnode::{Node as PagedNode, NodeKind as PagedKind};

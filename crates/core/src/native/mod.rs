@@ -1,9 +1,11 @@
 //! Native-execution backend: real walks over paged B+tree nodes.
 //!
 //! The simulator *models* walks; this module *executes* them. Indexes
-//! are materialized into page-aligned block files ([`blockfile`]), nodes
-//! are serialized/deserialized through [`codec`], and [`tree`] ports the
-//! B+tree walk and mutation algorithms onto that paged storage so
+//! are materialized into page-aligned block files ([`blockfile`]) whose
+//! extents hold encoded nodes — the node type and its codec are
+//! `metal-index`'s own ([`codec`] re-exports them) — and [`tree`] is the
+//! paged node store: the read path, plus the per-mutation frame set the
+//! one B+tree mutation algorithm ([`metal_index::nodestore`]) runs over, so
 //! datasets can exceed RAM. [`backend`] drives the same request streams
 //! the simulator consumes and reuses [`metal_sim::obs::Event`] so every
 //! downstream consumer (traces, `analyze`, epoch series, the flight

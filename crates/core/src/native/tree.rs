@@ -6,10 +6,12 @@
 //! to the simulator's: ids are assigned in the same order, the arena is
 //! replayed allocation-for-allocation (so `NodeInfo.addr`/`bytes` match
 //! byte-for-byte, which keeps descriptor and tuner decisions aligned),
-//! and every structural-mutation routine below is a line-for-line port
-//! of the `BPlusTree` original onto read-node/store-node paged access.
-//! The backend-equivalence suite and the native fuzz arm exist to keep
-//! that claim honest.
+//! and both trees run the *same* split / merge / borrow / bound-refresh
+//! code — [`metal_index::nodestore`], generic over a [`NodeStore`]. This
+//! file holds no tree arithmetic: it is the paged `NodeStore`, the flush
+//! that ends a mutation, the read path and the directory. What the
+//! backend-equivalence suite and the native fuzz arm guard here is
+//! storage — frames, flush, hot map, stage, tombstones, free list.
 //!
 //! Node contents live in block-file extents; the only per-node state held
 //! in memory is a small placement record (`NodeMeta`). A *hot map*
@@ -20,18 +22,24 @@
 //! survive as in-memory tombstones so a racing cached pointer resolves
 //! exactly as it does in the simulator (which keeps dead nodes in its
 //! node vector).
+//!
+//! A mutation works on a **frame set**: each node it touches is decoded
+//! once, on first touch, into a frame; `get_mut` marks the frame dirty;
+//! when the operation ends every dirty frame is encoded and written
+//! exactly once (a dead one becomes a tombstone instead) and the set is
+//! dropped. Frames exist only inside `insert_key` / `delete_key` — the
+//! read path never consults them — and an operation that fails before
+//! its flush has written nothing to the block file.
 
 use super::blockfile::{BlockFile, BlockFileError, Result};
-use super::codec::{PagedKind, PagedNode};
-use metal_index::bptree::{BPlusTree, MutationReport, StaleSpan};
+use super::codec::PagedNode;
+use metal_index::bpnode::Reader;
+use metal_index::bptree::{BPlusTree, MutationReport, TreeShape};
+use metal_index::nodestore::{self, NodeStore};
 use metal_index::walk::Descend;
-use metal_index::{Arena, NodeId, NodeInfo};
-use metal_sim::obs::MutKind;
+use metal_index::{Arena, NodeId, NodeInfo, WalkIndex};
 use metal_sim::types::{Addr, Key};
 use std::collections::HashMap;
-
-/// Per-node byte-size model, mirrored from `metal-index::bptree`.
-const NODE_HEADER_BYTES: u64 = 16;
 
 /// Capacity of the prefetch stage (decoded nodes scouts read ahead of
 /// demand). Bounds scout memory; overflowing prefetches are dropped,
@@ -57,16 +65,28 @@ fn prefetch_hint<T>(p: *const T) {
 /// Directory-blob version tag.
 const DIR_VERSION: u32 = 1;
 
-/// In-memory placement record of one node.
+/// `NodeMeta::page` of a node with no extent: a tombstone, or a node
+/// allocated by the mutation in flight and not flushed yet.
+const NO_PAGE: u64 = u64::MAX;
+
+/// In-memory placement record of one node (its arena slot is its id).
 #[derive(Debug, Clone, Copy)]
 struct NodeMeta {
-    /// Head page of the node's extent (meaningless when `dead`).
+    /// Head page of the node's extent ([`NO_PAGE`] when `dead`).
     page: u64,
-    /// Arena slot (== node id; kept explicit for clarity).
-    slot: usize,
     /// True once the node was merged away: its extent is freed and its
     /// emptied contents live in the tombstone map.
     dead: bool,
+}
+
+/// One node of the mutation in flight, decoded.
+#[derive(Debug)]
+struct Frame {
+    id: NodeId,
+    node: PagedNode,
+    /// Handed out through `get_mut` (or freshly allocated): written at
+    /// flush.
+    dirty: bool,
 }
 
 /// Page-layer access counters for one tree.
@@ -82,7 +102,8 @@ pub struct TreeIoStats {
     /// Nodes read ahead of demand into the prefetch stage by
     /// [`PagedTree::prefetch_node`].
     pub prefetched: u64,
-    /// Node writes (serialize + page write).
+    /// Node writes (serialize + page write): one per node a mutation's
+    /// flush wrote, a new node's first extent included.
     pub node_writes: u64,
     /// Wall nanoseconds spent loading pages from the block file (demand
     /// cold reads and scout prefetches both count) — the native
@@ -132,45 +153,26 @@ pub struct PagedTree {
     /// Replica of the simulator's bump allocator: same allocations in
     /// the same order, so simulated addresses and byte sizes match.
     arena: Arena,
-    root: NodeId,
-    depth: u8,
-    leaf_cap: usize,
-    fanout: usize,
-    n_keys: u64,
-    next_rank: u64,
-    data_base: Addr,
-    record_bytes: u64,
-    value_heap_end: u64,
-    mut_ready: bool,
+    shape: TreeShape,
     /// First node id allocated past the value heap (persisted so the
     /// arena replay stays exact across reopen).
     mut_boundary: Option<NodeId>,
     /// Deserialized nodes mirroring current IX-cache residents.
     hot: HashMap<NodeId, PagedNode>,
     /// Nodes MLP scouts read ahead of demand ([`STAGE_CAP`]-bounded).
-    /// Cleared wholesale on any applied mutation — the cheap, obviously
+    /// Cleared wholesale when a mutation flushes — the cheap, obviously
     /// correct staleness guard (see `native::backend` module docs).
     stage: HashMap<NodeId, PagedNode>,
     /// Emptied contents of merged-away nodes (extent freed).
     tombstones: HashMap<NodeId, PagedNode>,
+    /// The mutation in flight's nodes, in first-touch order (the order
+    /// the flush writes them in); empty between operations.
+    frames: Vec<Frame>,
     io: TreeIoStats,
 }
 
 /// A node a walk fetched, with the decoded contents still in hand.
 pub type FetchedNode = (NodeId, NodeInfo, PagedNode);
-
-/// Records `[lo, hi]` as stale at `level` and every level below it
-/// (mirrors the `metal-index` original, which is private).
-fn push_stale(report: &mut MutationReport, level: u8, lo: Key, hi: Key, op: MutKind) {
-    for l in (0..=level).rev() {
-        report.stale.push(StaleSpan {
-            level: l,
-            lo,
-            hi,
-            op,
-        });
-    }
-}
 
 impl PagedTree {
     /// Materializes `tree` into `file`, node by node in id order. The
@@ -179,78 +181,72 @@ impl PagedTree {
     pub fn materialize(tree: &BPlusTree, mut file: BlockFile) -> Result<Self> {
         let shape = tree.shape();
         let mut arena = Arena::new(shape.arena_base);
-        let mut meta = Vec::with_capacity(metal_index::WalkIndex::node_count(tree));
+        let mut meta = Vec::with_capacity(tree.node_count());
         let mut tombstones = HashMap::new();
         let mut mut_boundary = None;
-        let mut replica_ready = false;
-        for id in 0..metal_index::WalkIndex::node_count(tree) as NodeId {
-            let e = tree.export_node(id);
-            if shape.mut_ready && !replica_ready && e.addr.get() >= shape.value_heap_end {
+        for id in 0..tree.node_count() as NodeId {
+            let info = tree.node(id);
+            if shape.mut_ready && mut_boundary.is_none() && info.addr.get() >= shape.value_heap_end
+            {
                 arena.skip_to(Addr::new(shape.value_heap_end));
-                replica_ready = true;
                 mut_boundary = Some(id);
             }
-            let slot = arena.alloc(e.bytes);
+            let slot = arena.alloc(info.bytes);
             debug_assert_eq!(
-                arena.addr(slot),
-                e.addr,
+                (slot, arena.addr(slot)),
+                (id as usize, info.addr),
                 "arena replay diverged at node {id}"
             );
-            let node = PagedNode::from_export(&e);
-            let (page, dead) = if e.dead {
+            let node = tree.export_node(id);
+            let dead = node.dead;
+            let page = if dead {
                 tombstones.insert(id, node);
-                (u64::MAX, true)
+                NO_PAGE
             } else {
-                (file.store(&node.encode())?, false)
+                file.store(&node.encode())?
             };
-            meta.push(NodeMeta { page, slot, dead });
+            meta.push(NodeMeta { page, dead });
         }
         Ok(PagedTree {
             file,
             meta,
             arena,
-            root: shape.root,
-            depth: shape.depth,
-            leaf_cap: shape.leaf_cap,
-            fanout: shape.fanout,
-            n_keys: shape.n_keys,
-            next_rank: shape.next_rank,
-            data_base: shape.data_base,
-            record_bytes: shape.record_bytes,
-            value_heap_end: shape.value_heap_end,
-            mut_ready: shape.mut_ready,
+            shape,
             mut_boundary,
             hot: HashMap::new(),
             stage: HashMap::new(),
             tombstones,
+            frames: Vec::new(),
             io: TreeIoStats::default(),
         })
     }
 
     /// Writes the tree directory (scalars, per-node placements,
     /// tombstones) into the file and records it in the superblock, so
-    /// [`PagedTree::reopen`] can rebuild this tree.
+    /// [`PagedTree::reopen`] can rebuild this tree. The previous
+    /// directory's extent is freed only once the superblock names the
+    /// new one: a failed write leaves the old directory in force.
     pub fn persist(&mut self) -> Result<()> {
+        let sh = &self.shape;
         let mut blob = Vec::new();
         blob.extend_from_slice(&DIR_VERSION.to_le_bytes());
-        blob.extend_from_slice(&self.root.to_le_bytes());
-        blob.push(self.depth);
-        blob.push(self.mut_ready as u8);
-        blob.extend_from_slice(&(self.leaf_cap as u64).to_le_bytes());
-        blob.extend_from_slice(&(self.fanout as u64).to_le_bytes());
-        blob.extend_from_slice(&self.n_keys.to_le_bytes());
-        blob.extend_from_slice(&self.next_rank.to_le_bytes());
-        blob.extend_from_slice(&self.arena.base().get().to_le_bytes());
-        blob.extend_from_slice(&self.data_base.get().to_le_bytes());
-        blob.extend_from_slice(&self.record_bytes.to_le_bytes());
-        blob.extend_from_slice(&self.value_heap_end.to_le_bytes());
+        blob.extend_from_slice(&sh.root.to_le_bytes());
+        blob.push(sh.depth);
+        blob.push(sh.mut_ready as u8);
+        blob.extend_from_slice(&(sh.leaf_cap as u64).to_le_bytes());
+        blob.extend_from_slice(&(sh.fanout as u64).to_le_bytes());
+        blob.extend_from_slice(&sh.n_keys.to_le_bytes());
+        blob.extend_from_slice(&sh.next_rank.to_le_bytes());
+        blob.extend_from_slice(&sh.arena_base.get().to_le_bytes());
+        blob.extend_from_slice(&sh.data_base.get().to_le_bytes());
+        blob.extend_from_slice(&sh.record_bytes.to_le_bytes());
+        blob.extend_from_slice(&sh.value_heap_end.to_le_bytes());
         blob.extend_from_slice(&self.mut_boundary.unwrap_or(NodeId::MAX).to_le_bytes());
         blob.extend_from_slice(&(self.meta.len() as u32).to_le_bytes());
         for (id, m) in self.meta.iter().enumerate() {
             blob.extend_from_slice(&m.page.to_le_bytes());
-            blob.extend_from_slice(&self.arena.bytes(m.slot).to_le_bytes());
+            blob.extend_from_slice(&self.arena.bytes(id).to_le_bytes());
             blob.push(m.dead as u8);
-            let _ = id;
         }
         blob.extend_from_slice(&(self.tombstones.len() as u32).to_le_bytes());
         let mut ids: Vec<&NodeId> = self.tombstones.keys().collect();
@@ -261,14 +257,18 @@ impl PagedTree {
             blob.extend_from_slice(&(enc.len() as u32).to_le_bytes());
             blob.extend_from_slice(&enc);
         }
-        if let Some(old) = self.file.root()? {
-            self.file.free_extent(old)?;
-        }
+        let old = self.file.root()?;
         let page = self.file.store(&blob)?;
-        self.file.set_root(page)
+        self.file.set_root(page)?;
+        match old {
+            Some(old) => self.file.free_extent(old),
+            None => Ok(()),
+        }
     }
 
     /// Rebuilds a persisted tree from `file` (see [`PagedTree::persist`]).
+    /// The directory is cross-checked before it is trusted: a root out of
+    /// range, or dead flags and tombstones that disagree, fail the open.
     pub fn reopen(mut file: BlockFile) -> Result<Self> {
         let page = file.root()?.ok_or_else(|| {
             BlockFileError::new(format!(
@@ -277,94 +277,107 @@ impl PagedTree {
             ))
         })?;
         let blob = file.load(page)?;
-        let bad = |what: &str| {
+        let bad = |what: String| {
             BlockFileError::new(format!(
                 "{}: malformed tree directory: {what}",
                 file.path().display()
             ))
         };
-        let mut r = DirReader {
-            bytes: &blob,
-            pos: 0,
+        // Scalars are read in blob order (struct literals evaluate their
+        // fields as written).
+        let mut r = Reader::new(&blob);
+        if r.u32().map_err(bad)? != DIR_VERSION {
+            return Err(bad("unknown directory version".into()));
+        }
+        let root = r.u32().map_err(bad)?;
+        let depth = r.u8().map_err(bad)?;
+        let mut_ready = r.u8().map_err(bad)? != 0;
+        let shape = TreeShape {
+            root,
+            depth,
+            mut_ready,
+            leaf_cap: r.u64().map_err(bad)? as usize,
+            fanout: r.u64().map_err(bad)? as usize,
+            n_keys: r.u64().map_err(bad)?,
+            next_rank: r.u64().map_err(bad)?,
+            arena_base: Addr::new(r.u64().map_err(bad)?),
+            data_base: Addr::new(r.u64().map_err(bad)?),
+            record_bytes: r.u64().map_err(bad)?,
+            value_heap_end: r.u64().map_err(bad)?,
         };
-        if r.u32().map_err(|e| bad(&e))? != DIR_VERSION {
-            return Err(bad("unknown directory version"));
-        }
-        let root = r.u32().map_err(|e| bad(&e))?;
-        let depth = r.u8().map_err(|e| bad(&e))?;
-        let mut_ready = r.u8().map_err(|e| bad(&e))? != 0;
-        let leaf_cap = r.u64().map_err(|e| bad(&e))? as usize;
-        let fanout = r.u64().map_err(|e| bad(&e))? as usize;
-        let n_keys = r.u64().map_err(|e| bad(&e))?;
-        let next_rank = r.u64().map_err(|e| bad(&e))?;
-        let arena_base = r.u64().map_err(|e| bad(&e))?;
-        let data_base = r.u64().map_err(|e| bad(&e))?;
-        let record_bytes = r.u64().map_err(|e| bad(&e))?;
-        let value_heap_end = r.u64().map_err(|e| bad(&e))?;
-        let boundary = r.u32().map_err(|e| bad(&e))?;
+        let boundary = r.u32().map_err(bad)?;
         let mut_boundary = (boundary != NodeId::MAX).then_some(boundary);
-        let n_nodes = r.u32().map_err(|e| bad(&e))? as usize;
-        let mut arena = Arena::new(Addr::new(arena_base));
-        let mut meta = Vec::with_capacity(n_nodes);
-        for id in 0..n_nodes {
-            let page = r.u64().map_err(|e| bad(&e))?;
-            let bytes = r.u64().map_err(|e| bad(&e))?;
-            let dead = r.u8().map_err(|e| bad(&e))? != 0;
-            if mut_boundary == Some(id as NodeId) {
-                arena.skip_to(Addr::new(value_heap_end));
-            }
-            let slot = arena.alloc(bytes);
-            meta.push(NodeMeta { page, slot, dead });
+        let n_nodes = r.u32().map_err(bad)?;
+        if root >= n_nodes {
+            return Err(bad(format!("root {root} out of range ({n_nodes} nodes)")));
         }
-        let n_tomb = r.u32().map_err(|e| bad(&e))? as usize;
-        let mut tombstones = HashMap::with_capacity(n_tomb);
+        let mut arena = Arena::new(shape.arena_base);
+        // Each record is 17 bytes: a count the blob cannot hold must not
+        // size an allocation.
+        let mut meta = Vec::with_capacity((n_nodes as usize).min(blob.len() / 17));
+        for id in 0..n_nodes {
+            let page = r.u64().map_err(bad)?;
+            let bytes = r.u64().map_err(bad)?;
+            let dead = r.u8().map_err(bad)? != 0;
+            if mut_boundary == Some(id) {
+                arena.skip_to(Addr::new(shape.value_heap_end));
+            }
+            arena.alloc(bytes);
+            meta.push(NodeMeta { page, dead });
+        }
+        let n_tomb = r.u32().map_err(bad)? as usize;
+        let mut tombstones = HashMap::new();
         for _ in 0..n_tomb {
-            let id = r.u32().map_err(|e| bad(&e))?;
-            let len = r.u32().map_err(|e| bad(&e))? as usize;
-            let enc = r.take(len).map_err(|e| bad(&e))?;
-            let node = PagedNode::decode(enc).map_err(|e| bad(&e))?;
-            tombstones.insert(id, node);
+            let id = r.u32().map_err(bad)?;
+            let len = r.u32().map_err(bad)? as usize;
+            let node = PagedNode::decode(r.take(len).map_err(bad)?)
+                .map_err(|e| bad(format!("tombstone of node {id}: {e}")))?;
+            if !meta.get(id as usize).is_some_and(|m| m.dead) {
+                return Err(bad(format!("tombstone for node {id}, which is not dead")));
+            }
+            if tombstones.insert(id, node).is_some() {
+                return Err(bad(format!("two tombstones for node {id}")));
+            }
+        }
+        let n_dead = meta.iter().filter(|m| m.dead).count();
+        if n_dead != tombstones.len() {
+            return Err(bad(format!(
+                "{n_dead} dead nodes but {} tombstones",
+                tombstones.len()
+            )));
         }
         Ok(PagedTree {
             file,
             meta,
             arena,
-            root,
-            depth,
-            leaf_cap,
-            fanout,
-            n_keys,
-            next_rank,
-            data_base: Addr::new(data_base),
-            record_bytes,
-            value_heap_end,
-            mut_ready,
+            shape,
             mut_boundary,
             hot: HashMap::new(),
             stage: HashMap::new(),
             tombstones,
+            frames: Vec::new(),
             io: TreeIoStats::default(),
         })
     }
 
     /// Root node id.
     pub fn root(&self) -> NodeId {
-        self.root
+        self.shape.root
     }
 
     /// Number of levels.
     pub fn depth(&self) -> u8 {
-        self.depth
+        self.shape.depth
     }
 
     /// Number of keys indexed.
     pub fn len(&self) -> u64 {
-        self.n_keys
+        self.shape.n_keys
     }
 
     /// Whether the tree indexes no keys.
     pub fn is_empty(&self) -> bool {
-        self.n_keys == 0
+        self.shape.n_keys == 0
     }
 
     /// Total nodes ever created (dead ones included; ids are positional).
@@ -385,7 +398,7 @@ impl PagedTree {
     /// Modeled byte size of node `id` (from the arena replica; no page
     /// read).
     pub fn node_bytes(&self, id: NodeId) -> u64 {
-        self.arena.bytes(self.meta[id as usize].slot)
+        self.arena.bytes(id as usize)
     }
 
     /// Modeled DRAM blocks the tree's nodes occupy (matches the
@@ -431,7 +444,12 @@ impl PagedTree {
         })?;
         if m.dead {
             self.io.hot_hits += 1;
-            return Ok(self.tombstones[&id].clone());
+            return self.tombstones.get(&id).cloned().ok_or_else(|| {
+                BlockFileError::new(format!(
+                    "{}: node {id} is dead but has no tombstone",
+                    self.file.path().display()
+                ))
+            });
         }
         let t0 = std::time::Instant::now();
         let payload = self.file.load(m.page)?;
@@ -449,93 +467,15 @@ impl PagedTree {
         Ok(node)
     }
 
-    /// Writes node `id` back to its extent (relocating when it outgrew
-    /// it) and refreshes the hot copy if one is resident.
-    fn store_node(&mut self, id: NodeId, node: &PagedNode) -> Result<()> {
-        let m = self.meta[id as usize];
-        debug_assert!(!m.dead, "dead nodes are tombstones, not extents");
-        let page = self.file.update(m.page, &node.encode())?;
-        self.meta[id as usize].page = page;
-        if let Some(h) = self.hot.get_mut(&id) {
-            *h = node.clone();
-        }
-        // Any write invalidates the prefetch stage wholesale: staged
-        // nodes were decoded pre-mutation and must never shadow the
-        // page layer's current contents. (The hot map above is updated
-        // in place instead — it mirrors cache residency, not a hint.)
-        self.stage.clear();
-        self.io.node_writes += 1;
-        Ok(())
-    }
-
-    /// Allocates a fresh node (arena slot + extent) and returns its id.
-    fn push_node(&mut self, node: PagedNode, bytes: u64) -> Result<NodeId> {
-        let slot = self.arena.alloc(bytes);
-        let id = self.meta.len() as NodeId;
-        debug_assert_eq!(slot, id as usize, "slot == id invariant");
-        let page = self.file.store(&node.encode())?;
-        self.meta.push(NodeMeta {
-            page,
-            slot,
-            dead: false,
-        });
-        Ok(id)
-    }
-
-    /// Kills a merged-away node: frees its extent and keeps the emptied
-    /// contents as a tombstone (the simulator keeps dead nodes in its
-    /// node vec; a stale cached pointer must resolve identically here).
-    fn kill_node(&mut self, id: NodeId, emptied: PagedNode) -> Result<()> {
-        let m = self.meta[id as usize];
-        self.file.free_extent(m.page)?;
-        self.meta[id as usize].dead = true;
-        self.hot.remove(&id);
-        self.stage.clear();
-        self.tombstones.insert(id, emptied);
-        Ok(())
-    }
-
     /// [`NodeInfo`] for a node already in hand (placement from the arena
     /// replica, the rest from the node itself).
     pub fn info_of(&self, id: NodeId, node: &PagedNode) -> NodeInfo {
-        let m = &self.meta[id as usize];
-        NodeInfo {
-            addr: self.arena.addr(m.slot),
-            bytes: self.arena.bytes(m.slot),
-            level: node.level,
-            lo: node.lo,
-            hi: node.hi,
-            keys: node.key_count(),
-        }
-    }
-
-    /// Simulated `(addr, bytes)` of node `id` (the DRAM write-back pair
-    /// the mutation report records).
-    fn node_write(&self, id: NodeId) -> (Addr, u64) {
-        let slot = self.meta[id as usize].slot;
-        (self.arena.addr(slot), self.arena.bytes(slot))
+        node.info(&self.arena, id)
     }
 
     /// Searches `node` for `key` exactly as `BPlusTree::descend` does.
     pub fn descend_in(&self, node: &PagedNode, key: Key) -> Descend {
-        match &node.kind {
-            PagedKind::Interior { seps, children } => {
-                let idx = seps.partition_point(|&s| s <= key);
-                Descend::Child(children[idx])
-            }
-            PagedKind::Leaf { keys, ranks, .. } => match keys.binary_search(&key) {
-                Ok(pos) => Descend::Leaf {
-                    found: true,
-                    value_addr: Addr::new(self.data_base.get() + ranks[pos] * self.record_bytes),
-                    value_bytes: self.record_bytes,
-                },
-                Err(_) => Descend::Leaf {
-                    found: false,
-                    value_addr: self.data_base,
-                    value_bytes: 0,
-                },
-            },
-        }
+        node.descend(key, &self.shape)
     }
 
     /// The root-to-leaf node path for `key` starting at `from`, with the
@@ -567,7 +507,7 @@ impl PagedTree {
         key: Key,
         keep: impl Fn(NodeId, NodeInfo, PagedNode) -> T,
     ) -> Result<(Vec<T>, Descend)> {
-        let mut path = Vec::with_capacity(self.depth as usize);
+        let mut path = Vec::with_capacity(self.shape.depth as usize);
         let mut id = from;
         loop {
             let node = self.read_node(id)?;
@@ -603,11 +543,7 @@ impl PagedTree {
         let mut cur = first;
         for _ in 0..hops {
             let node = self.read_node(cur)?;
-            let next = match &node.kind {
-                PagedKind::Leaf { next, .. } => *next,
-                PagedKind::Interior { .. } => None,
-            };
-            match next {
+            match node.next_leaf() {
                 Some(n) => {
                     let nn = self.read_node(n)?;
                     out.push(keep(n, self.info_of(n, &nn), nn));
@@ -733,555 +669,135 @@ impl PagedTree {
         self.stage.len()
     }
 
-    fn ensure_mut_region(&mut self) {
-        if !self.mut_ready {
-            self.arena.skip_to(Addr::new(self.value_heap_end));
-            self.mut_ready = true;
-            self.mut_boundary = Some(self.meta.len() as NodeId);
-        }
-    }
-
-    fn path_to_leaf(&mut self, key: Key) -> Result<Vec<NodeId>> {
-        let mut path = vec![self.root];
-        loop {
-            let id = *path.last().expect("path starts at the root");
-            let node = self.read_node(id)?;
-            match &node.kind {
-                PagedKind::Interior { seps, children } => {
-                    let idx = seps.partition_point(|&s| s <= key);
-                    path.push(children[idx]);
-                }
-                PagedKind::Leaf { .. } => return Ok(path),
-            }
-        }
-    }
-
-    /// Recomputes `[lo, hi]` from current contents (port of the
-    /// `BPlusTree` original).
-    fn refresh_bounds(&mut self, id: NodeId) -> Result<()> {
-        let mut node = self.read_node(id)?;
-        let (lo, hi) = match &node.kind {
-            PagedKind::Leaf { keys, .. } => match (keys.first(), keys.last()) {
-                (Some(&lo), Some(&hi)) => (lo, hi),
-                _ => (node.lo, node.lo),
-            },
-            PagedKind::Interior { children, .. } => {
-                let first = children[0];
-                let last = *children.last().expect("interior keeps a child");
-                (self.read_node(first)?.lo, self.read_node(last)?.hi)
-            }
-        };
-        if (node.lo, node.hi) != (lo, hi) {
-            node.lo = lo;
-            node.hi = hi;
-            self.store_node(id, &node)?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds an interior node's separators from its children's low
-    /// bounds (no-op for leaves).
-    fn rebuild_seps(&mut self, id: NodeId) -> Result<()> {
-        let mut node = self.read_node(id)?;
-        let children = match &node.kind {
-            PagedKind::Interior { children, .. } => children.clone(),
-            PagedKind::Leaf { .. } => return Ok(()),
-        };
-        let mut seps = Vec::with_capacity(children.len().saturating_sub(1));
-        for &c in &children[1..] {
-            seps.push(self.read_node(c)?.lo);
-        }
-        if let PagedKind::Interior { seps: s, .. } = &mut node.kind {
-            *s = seps;
-        }
-        self.store_node(id, &node)
-    }
-
-    /// Splits overflowing node `id` in half, returning the new right
-    /// sibling (allocated past the value heap). Line-for-line port of
-    /// `BPlusTree::split_node`.
-    fn split_node(&mut self, id: NodeId) -> Result<NodeId> {
-        self.ensure_mut_region();
-        let mut node = self.read_node(id)?;
-        let level = node.level;
-        let rid = self.meta.len() as NodeId;
-        enum Half {
-            Leaf {
-                keys: Vec<Key>,
-                ranks: Vec<u64>,
-                next: Option<NodeId>,
-            },
-            Interior {
-                children: Vec<NodeId>,
-            },
-        }
-        let half = match &mut node.kind {
-            PagedKind::Leaf { keys, ranks, next } => {
-                let at = keys.len() / 2;
-                let h = Half::Leaf {
-                    keys: keys.split_off(at),
-                    ranks: ranks.split_off(at),
-                    next: *next,
-                };
-                *next = Some(rid);
-                h
-            }
-            PagedKind::Interior { children, .. } => {
-                let at = children.len() / 2;
-                Half::Interior {
-                    children: children.split_off(at),
-                }
-            }
-        };
-        self.store_node(id, &node)?;
-        let created = match half {
-            Half::Leaf { keys, ranks, next } => {
-                let bytes = NODE_HEADER_BYTES + keys.len() as u64 * 16;
-                let (lo, hi) = (keys[0], *keys.last().expect("split halves are non-empty"));
-                let sib = PagedNode {
-                    level,
-                    lo,
-                    hi,
-                    dead: false,
-                    kind: PagedKind::Leaf { keys, ranks, next },
-                };
-                self.push_node(sib, bytes)?
-            }
-            Half::Interior { children } => {
-                let mut seps = Vec::with_capacity(children.len().saturating_sub(1));
-                for &c in &children[1..] {
-                    seps.push(self.read_node(c)?.lo);
-                }
-                let bytes = NODE_HEADER_BYTES + seps.len() as u64 * 8 + children.len() as u64 * 8;
-                let lo = self.read_node(children[0])?.lo;
-                let hi = self.read_node(*children.last().expect("non-empty"))?.hi;
-                let sib = PagedNode {
-                    level,
-                    lo,
-                    hi,
-                    dead: false,
-                    kind: PagedKind::Interior { seps, children },
-                };
-                self.push_node(sib, bytes)?
-            }
-        };
-        debug_assert_eq!(created, rid);
-        self.rebuild_seps(id)?;
-        self.refresh_bounds(id)?;
-        Ok(rid)
-    }
-
-    /// Whether folding `r` into `l` stays within node capacity.
-    fn can_merge(&mut self, l: NodeId, r: NodeId) -> Result<bool> {
-        let ln = self.read_node(l)?;
-        let rn = self.read_node(r)?;
-        Ok(match (&ln.kind, &rn.kind) {
-            (PagedKind::Leaf { keys: a, .. }, PagedKind::Leaf { keys: b, .. }) => {
-                a.len() + b.len() <= self.leaf_cap
-            }
-            (PagedKind::Interior { children: a, .. }, PagedKind::Interior { children: b, .. }) => {
-                a.len() + b.len() <= self.fanout
-            }
-            _ => false,
-        })
-    }
-
-    /// Inserts `key`, splitting overflowing nodes up the walk path.
-    /// Port of `BPlusTree::insert_key` — must produce an identical
-    /// [`MutationReport`].
+    /// Inserts `key`, splitting overflowing nodes up the walk path:
+    /// [`nodestore::insert_key`] over this tree's frame set, then one
+    /// flush. The [`MutationReport`] equals the in-memory tree's.
+    ///
+    /// On `Err` nothing of the failed operation has reached the block
+    /// file unless the flush itself failed; the in-memory directory may
+    /// have advanced (key count, slots of nodes the operation allocated),
+    /// so drop the tree and [`PagedTree::reopen`] the file to continue.
     pub fn insert_key(&mut self, key: Key) -> Result<MutationReport> {
-        let mut report = MutationReport::default();
-        let path = self.path_to_leaf(key)?;
-        let leaf = *path.last().expect("path ends at a leaf");
-        {
-            let mut node = self.read_node(leaf)?;
-            let PagedKind::Leaf { keys, ranks, .. } = &mut node.kind else {
-                unreachable!("path ends at a leaf");
-            };
-            let Err(pos) = keys.binary_search(&key) else {
-                return Ok(report);
-            };
-            keys.insert(pos, key);
-            ranks.insert(pos, self.next_rank);
-            self.store_node(leaf, &node)?;
-        }
-        report.applied = true;
-        report.writes.push(self.node_write(leaf));
-        // The new record itself (append-only value heap).
-        report.writes.push((
-            Addr::new(self.data_base.get() + self.next_rank * self.record_bytes),
-            self.record_bytes.max(1),
-        ));
-        self.next_rank += 1;
-        self.n_keys += 1;
-
-        // Ascend the path: split overflowing nodes, refresh bounds.
-        for pos in (0..path.len()).rev() {
-            let id = path[pos];
-            let node = self.read_node(id)?;
-            let over = match &node.kind {
-                PagedKind::Leaf { keys, .. } => keys.len() > self.leaf_cap,
-                PagedKind::Interior { children, .. } => children.len() > self.fanout,
-            };
-            if !over {
-                self.refresh_bounds(id)?;
-                continue;
-            }
-            let (old_lo, old_hi, level) = (node.lo, node.hi, node.level);
-            let sib = self.split_node(id)?;
-            report.splits += 1;
-            push_stale(&mut report, level, old_lo, old_hi, MutKind::Split);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(sib));
-            let sib_lo = self.read_node(sib)?.lo;
-            if pos == 0 {
-                // The root itself split: grow a new root above it.
-                let bytes = NODE_HEADER_BYTES + 8 + 2 * 8;
-                let lo = self.read_node(id)?.lo;
-                let hi = self.read_node(sib)?.hi;
-                let rid = self.push_node(
-                    PagedNode {
-                        level: level + 1,
-                        lo,
-                        hi,
-                        dead: false,
-                        kind: PagedKind::Interior {
-                            seps: vec![sib_lo],
-                            children: vec![id, sib],
-                        },
-                    },
-                    bytes,
-                )?;
-                self.root = rid;
-                self.depth += 1;
-                report.writes.push(self.node_write(rid));
-            } else {
-                let parent = path[pos - 1];
-                let mut p = self.read_node(parent)?;
-                let PagedKind::Interior { seps, children } = &mut p.kind else {
-                    unreachable!("parents are interior");
-                };
-                let cpos = children
-                    .iter()
-                    .position(|&c| c == id)
-                    .expect("parent lists its child");
-                children.insert(cpos + 1, sib);
-                seps.insert(cpos, sib_lo);
-                self.store_node(parent, &p)?;
-                report.writes.push(self.node_write(parent));
-            }
-        }
-        Ok(report)
+        let report = nodestore::insert_key(self, key);
+        self.finish(report)
     }
 
     /// Deletes `key`, rebalancing or merging underflowing nodes up the
-    /// walk path. Port of `BPlusTree::delete_key`.
+    /// walk path ([`nodestore::delete_key`]; see
+    /// [`PagedTree::insert_key`] for the failure contract).
     pub fn delete_key(&mut self, key: Key) -> Result<MutationReport> {
-        let mut report = MutationReport::default();
-        let path = self.path_to_leaf(key)?;
-        let leaf = *path.last().expect("path ends at a leaf");
-        {
-            let mut node = self.read_node(leaf)?;
-            let PagedKind::Leaf { keys, ranks, .. } = &mut node.kind else {
-                unreachable!("path ends at a leaf");
-            };
-            let Ok(pos) = keys.binary_search(&key) else {
-                return Ok(report);
-            };
-            keys.remove(pos);
-            ranks.remove(pos);
-            self.store_node(leaf, &node)?;
-        }
-        self.n_keys -= 1;
-        report.applied = true;
-        report.writes.push(self.node_write(leaf));
-
-        let min_leaf = (self.leaf_cap / 2).max(1);
-        let min_children = (self.fanout / 2).max(2);
-        // Ascend the path (root exempt): fix underflow, refresh bounds.
-        for pos in (1..path.len()).rev() {
-            let id = path[pos];
-            let node = self.read_node(id)?;
-            let under = match &node.kind {
-                PagedKind::Leaf { keys, .. } => keys.len() < min_leaf,
-                PagedKind::Interior { children, .. } => children.len() < min_children,
-            };
-            if !under {
-                self.refresh_bounds(id)?;
-                continue;
-            }
-            self.rebalance_or_merge(path[pos - 1], id, &mut report)?;
-        }
-        self.refresh_bounds(path[0])?;
-        Ok(report)
+        let report = nodestore::delete_key(self, key);
+        self.finish(report)
     }
 
-    /// Fixes underflowing `id` (port of the `BPlusTree` original; the
-    /// borrow/merge preference order must match exactly).
-    fn rebalance_or_merge(
-        &mut self,
-        parent: NodeId,
-        id: NodeId,
-        report: &mut MutationReport,
-    ) -> Result<()> {
-        let (cpos, left, right) = {
-            let p = self.read_node(parent)?;
-            let PagedKind::Interior { children, .. } = &p.kind else {
-                unreachable!("parents are interior");
-            };
-            let cpos = children
-                .iter()
-                .position(|&c| c == id)
-                .expect("parent lists its child");
-            (
-                cpos,
-                (cpos > 0).then(|| children[cpos - 1]),
-                children.get(cpos + 1).copied(),
-            )
-        };
-        let level = self.read_node(id)?.level;
-        let left_surplus = match left {
-            Some(l) => self.has_surplus(l)?,
-            None => false,
-        };
-        let right_surplus = match right {
-            Some(r) => self.has_surplus(r)?,
-            None => false,
-        };
-        if let Some(l) = left.filter(|_| left_surplus) {
-            let (lo, hi) = (self.read_node(l)?.lo, self.read_node(id)?.hi);
-            self.borrow_from_left(parent, cpos, l, id)?;
-            report.rebalances += 1;
-            push_stale(report, level, lo, hi, MutKind::Rebalance);
-            report.writes.push(self.node_write(l));
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(r) = right.filter(|_| right_surplus) {
-            let (lo, hi) = (self.read_node(id)?.lo, self.read_node(r)?.hi);
-            self.borrow_from_right(parent, cpos, id, r)?;
-            report.rebalances += 1;
-            push_stale(report, level, lo, hi, MutKind::Rebalance);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(r));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(l) = left {
-            if self.can_merge(l, id)? {
-                let (lo, hi) = (self.read_node(l)?.lo, self.read_node(id)?.hi);
-                self.merge_into_left(parent, cpos - 1, l, id)?;
-                report.merges += 1;
-                push_stale(report, level, lo, hi, MutKind::Merge);
-                report.writes.push(self.node_write(l));
-                report.writes.push(self.node_write(parent));
-            } else if let Some(r) = right {
-                if self.can_merge(id, r)? {
-                    let (lo, hi) = (self.read_node(id)?.lo, self.read_node(r)?.hi);
-                    self.merge_into_left(parent, cpos, id, r)?;
-                    report.merges += 1;
-                    push_stale(report, level, lo, hi, MutKind::Merge);
-                    report.writes.push(self.node_write(id));
-                    report.writes.push(self.node_write(parent));
-                }
+    /// Flushes the frames of a mutation that succeeded, drops those of
+    /// one that failed.
+    fn finish(&mut self, report: Result<MutationReport>) -> Result<MutationReport> {
+        if report.is_ok() {
+            self.flush()?;
+        }
+        self.frames.clear();
+        report
+    }
+
+    /// Ends a mutation: every dirty frame is written once, in first-touch
+    /// order — a node that outgrew its extent relocates, a new node gets
+    /// its first extent, a dead one gives its extent back and becomes a
+    /// tombstone — and resident hot copies are replaced. Any write
+    /// invalidates the prefetch stage wholesale: staged nodes were
+    /// decoded pre-mutation and must never shadow the page layer's
+    /// current contents. (The hot map is updated in place instead — it
+    /// mirrors cache residency, not a hint.)
+    fn flush(&mut self) -> Result<()> {
+        if self.frames.iter().any(|f| f.dirty) {
+            self.stage.clear();
+        }
+        for Frame { id, node, dirty } in self.frames.drain(..) {
+            if !dirty {
+                continue;
             }
-        } else if let Some(r) = right {
-            if self.can_merge(id, r)? {
-                let (lo, hi) = (self.read_node(id)?.lo, self.read_node(r)?.hi);
-                self.merge_into_left(parent, cpos, id, r)?;
-                report.merges += 1;
-                push_stale(report, level, lo, hi, MutKind::Merge);
-                report.writes.push(self.node_write(id));
-                report.writes.push(self.node_write(parent));
+            let m = &mut self.meta[id as usize];
+            if node.dead {
+                self.file.free_extent(m.page)?;
+                *m = NodeMeta {
+                    page: NO_PAGE,
+                    dead: true,
+                };
+                self.hot.remove(&id);
+                self.tombstones.insert(id, node);
+                continue;
+            }
+            let bytes = node.encode();
+            m.page = match m.page {
+                NO_PAGE => self.file.store(&bytes)?,
+                page => self.file.update(page, &bytes)?,
+            };
+            self.io.node_writes += 1;
+            if let Some(hot) = self.hot.get_mut(&id) {
+                *hot = node;
             }
         }
         Ok(())
     }
 
-    /// Whether a node holds more than the underflow minimum.
-    fn has_surplus(&mut self, n: NodeId) -> Result<bool> {
-        let node = self.read_node(n)?;
-        Ok(match &node.kind {
-            PagedKind::Leaf { keys, .. } => keys.len() > (self.leaf_cap / 2).max(1),
-            PagedKind::Interior { children, .. } => children.len() > (self.fanout / 2).max(2),
-        })
-    }
-
-    /// Moves the last key/child of `l` to the front of `id`.
-    fn borrow_from_left(
-        &mut self,
-        parent: NodeId,
-        cpos: usize,
-        l: NodeId,
-        id: NodeId,
-    ) -> Result<()> {
-        enum Moved {
-            Key(Key, u64),
-            Child(NodeId),
+    /// Index into `frames` of node `id`, decoding it through the read
+    /// path on first touch.
+    fn frame(&mut self, id: NodeId) -> Result<usize> {
+        if let Some(at) = self.frames.iter().position(|f| f.id == id) {
+            return Ok(at);
         }
-        let mut ln = self.read_node(l)?;
-        let moved = match &mut ln.kind {
-            PagedKind::Leaf { keys, ranks, .. } => Moved::Key(
-                keys.pop().expect("surplus leaf has keys"),
-                ranks.pop().expect("ranks track keys"),
-            ),
-            PagedKind::Interior { seps, children } => {
-                seps.pop();
-                Moved::Child(children.pop().expect("surplus interior has children"))
-            }
-        };
-        self.store_node(l, &ln)?;
-        let mut idn = self.read_node(id)?;
-        match moved {
-            Moved::Key(k, r) => {
-                if let PagedKind::Leaf { keys, ranks, .. } = &mut idn.kind {
-                    keys.insert(0, k);
-                    ranks.insert(0, r);
-                }
-            }
-            Moved::Child(c) => {
-                if let PagedKind::Interior { children, .. } = &mut idn.kind {
-                    children.insert(0, c);
-                }
-            }
-        }
-        self.store_node(id, &idn)?;
-        self.rebuild_seps(id)?;
-        self.refresh_bounds(l)?;
-        self.refresh_bounds(id)?;
-        let new_lo = self.read_node(id)?.lo;
-        let mut p = self.read_node(parent)?;
-        if let PagedKind::Interior { seps, .. } = &mut p.kind {
-            seps[cpos - 1] = new_lo;
-        }
-        self.store_node(parent, &p)
-    }
-
-    /// Moves the first key/child of `r` to the end of `id`.
-    fn borrow_from_right(
-        &mut self,
-        parent: NodeId,
-        cpos: usize,
-        id: NodeId,
-        r: NodeId,
-    ) -> Result<()> {
-        enum Moved {
-            Key(Key, u64),
-            Child(NodeId),
-        }
-        let mut rn = self.read_node(r)?;
-        let moved = match &mut rn.kind {
-            PagedKind::Leaf { keys, ranks, .. } => Moved::Key(keys.remove(0), ranks.remove(0)),
-            PagedKind::Interior { seps, children } => {
-                if !seps.is_empty() {
-                    seps.remove(0);
-                }
-                Moved::Child(children.remove(0))
-            }
-        };
-        self.store_node(r, &rn)?;
-        let mut idn = self.read_node(id)?;
-        match moved {
-            Moved::Key(k, rk) => {
-                if let PagedKind::Leaf { keys, ranks, .. } = &mut idn.kind {
-                    keys.push(k);
-                    ranks.push(rk);
-                }
-            }
-            Moved::Child(c) => {
-                if let PagedKind::Interior { children, .. } = &mut idn.kind {
-                    children.push(c);
-                }
-            }
-        }
-        self.store_node(id, &idn)?;
-        self.rebuild_seps(id)?;
-        self.rebuild_seps(r)?;
-        self.refresh_bounds(id)?;
-        self.refresh_bounds(r)?;
-        let new_lo = self.read_node(r)?.lo;
-        let mut p = self.read_node(parent)?;
-        if let PagedKind::Interior { seps, .. } = &mut p.kind {
-            seps[cpos] = new_lo;
-        }
-        self.store_node(parent, &p)
-    }
-
-    /// Folds `r` into its left sibling `l`, tombstoning `r` and freeing
-    /// its extent.
-    fn merge_into_left(
-        &mut self,
-        parent: NodeId,
-        sep_idx: usize,
-        l: NodeId,
-        r: NodeId,
-    ) -> Result<()> {
-        enum Contents {
-            Leaf(Vec<Key>, Vec<u64>, Option<NodeId>),
-            Interior(Vec<NodeId>),
-        }
-        let mut rn = self.read_node(r)?;
-        let contents = match &mut rn.kind {
-            PagedKind::Leaf { keys, ranks, next } => {
-                Contents::Leaf(std::mem::take(keys), std::mem::take(ranks), next.take())
-            }
-            PagedKind::Interior { seps, children } => {
-                seps.clear();
-                Contents::Interior(std::mem::take(children))
-            }
-        };
-        rn.dead = true;
-        self.kill_node(r, rn)?;
-        let mut ln = self.read_node(l)?;
-        match contents {
-            Contents::Leaf(k, rk, nxt) => {
-                if let PagedKind::Leaf { keys, ranks, next } = &mut ln.kind {
-                    keys.extend(k);
-                    ranks.extend(rk);
-                    *next = nxt;
-                }
-            }
-            Contents::Interior(cs) => {
-                if let PagedKind::Interior { children, .. } = &mut ln.kind {
-                    children.extend(cs);
-                }
-            }
-        }
-        self.store_node(l, &ln)?;
-        self.rebuild_seps(l)?;
-        self.refresh_bounds(l)?;
-        let mut p = self.read_node(parent)?;
-        if let PagedKind::Interior { seps, children } = &mut p.kind {
-            seps.remove(sep_idx);
-            children.remove(sep_idx + 1);
-        }
-        self.store_node(parent, &p)
+        let node = self.read_node(id)?;
+        self.frames.push(Frame {
+            id,
+            node,
+            dirty: false,
+        });
+        Ok(self.frames.len() - 1)
     }
 }
 
-/// Byte-slice reader for the directory blob.
-struct DirReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+/// The paged store: a node is decoded into the mutation's frame set on
+/// first touch and written back, once, when the mutation ends.
+impl NodeStore for PagedTree {
+    type Error = BlockFileError;
 
-impl<'a> DirReader<'a> {
-    fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], String> {
-        if self.pos + n > self.bytes.len() {
-            return Err(format!("truncated at offset {}", self.pos));
+    fn shape(&mut self) -> &mut TreeShape {
+        &mut self.shape
+    }
+
+    fn get(&mut self, id: NodeId) -> Result<&PagedNode> {
+        let at = self.frame(id)?;
+        Ok(&self.frames[at].node)
+    }
+
+    fn get_mut(&mut self, id: NodeId) -> Result<&mut PagedNode> {
+        let at = self.frame(id)?;
+        let frame = &mut self.frames[at];
+        frame.dirty = true;
+        Ok(&mut frame.node)
+    }
+
+    fn alloc(&mut self, node: PagedNode) -> Result<NodeId> {
+        let id = self.meta.len() as NodeId;
+        if self.shape.skip_value_heap(&mut self.arena) {
+            self.mut_boundary = Some(id);
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let slot = self.arena.alloc(node.model_bytes());
+        debug_assert_eq!(slot, id as usize, "slot == id invariant");
+        self.meta.push(NodeMeta {
+            page: NO_PAGE,
+            dead: false,
+        });
+        self.frames.push(Frame {
+            id,
+            node,
+            dirty: true,
+        });
+        Ok(id)
     }
 
-    fn u8(&mut self) -> std::result::Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> std::result::Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> std::result::Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    fn node_write(&self, id: NodeId) -> (Addr, u64) {
+        (self.arena.addr(id as usize), self.arena.bytes(id as usize))
     }
 }
 
@@ -1341,16 +857,14 @@ mod tests {
                 }
             }
         }
-        // Full structural equivalence at the end: every node id yields
-        // the same NodeInfo, and every key resolves identically.
+        // Full structural equivalence at the end: every node id — dead
+        // ones too, as tombstones — holds the same node at the same
+        // placement, and every key resolves identically.
         assert_eq!(sim.node_count(), paged.node_count());
         assert_eq!(WalkIndex::depth(&sim), paged.depth());
         for id in 0..sim.node_count() as NodeId {
-            let e = sim.export_node(id);
-            if e.dead {
-                continue;
-            }
             let node = paged.read_node(id).unwrap();
+            assert_eq!(node, sim.export_node(id), "node {id} diverged");
             let info = paged.info_of(id, &node);
             assert_eq!(WalkIndex::node(&sim, id), info, "node {id} info diverged");
         }
@@ -1413,9 +927,7 @@ mod tests {
     fn reopen_and_rewalk_equals_in_memory_walk() {
         let ks = keys(400, 5);
         let mut sim = BPlusTree::bulk_load(&ks, 8, Addr::new(0x2000), 32);
-        let dir = std::env::temp_dir().join(format!("metal-pt-reopen-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tree.blk");
+        let path = scratch_file("reopen");
         {
             let file = BlockFile::create(&path).unwrap();
             let mut paged = PagedTree::materialize(&sim, file).unwrap();
@@ -1449,8 +961,7 @@ mod tests {
         for k in [4u64, 6, 2050] {
             assert_eq!(sim.insert_key(k), paged.insert_key(k).unwrap(), "post {k}");
         }
-        std::fs::remove_file(&path).unwrap();
-        let _ = std::fs::remove_dir(&dir);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -1558,5 +1069,239 @@ mod tests {
             assert_eq!((id, info), (plain_id, plain_info));
             assert_eq!(node.encode(), paged.read_node(id).unwrap().encode());
         }
+    }
+
+    /// `read_node` calls so far: each one bumps exactly one of these.
+    fn reads(pt: &PagedTree) -> u64 {
+        let io = pt.io_stats();
+        io.hot_hits + io.staged_hits + io.cold_reads
+    }
+
+    #[test]
+    fn a_plain_mutation_reads_each_node_it_needs_once() {
+        let ks = keys(6000, 4);
+        for sim in [
+            BPlusTree::bulk_load_with_depth(&ks, 10, Addr::new(0x1000), 16),
+            BPlusTree::bulk_load_geometry(&ks[..2000], 4, 3, Addr::new(0), 16),
+        ] {
+            let mut paged = materialize_tree(&sim).unwrap();
+            let budget = 3 * u64::from(paged.depth());
+            let (mut plain_deletes, mut plain_inserts) = (0, 0);
+            for &k in ks.iter().step_by(97).take(20) {
+                // Bulk-loaded leaves are full: the delete makes the room
+                // that keeps the insert after it from splitting.
+                let before = reads(&paged);
+                let rep = paged.delete_key(k).unwrap();
+                if rep.applied && rep.merges + rep.rebalances == 0 {
+                    plain_deletes += 1;
+                    let n = reads(&paged) - before;
+                    assert!(n <= budget, "delete {k}: {n} reads, budget {budget}");
+                }
+                let before = reads(&paged);
+                let rep = paged.insert_key(k + 1).unwrap();
+                if rep.applied && rep.splits == 0 {
+                    plain_inserts += 1;
+                    let n = reads(&paged) - before;
+                    assert!(n <= budget, "insert {}: {n} reads, budget {budget}", k + 1);
+                }
+            }
+            assert!(plain_deletes > 0 && plain_inserts > 0, "nothing measured");
+        }
+    }
+
+    #[test]
+    fn a_mutation_writes_each_node_it_changed_once() {
+        let ks = keys(6000, 4);
+        let mut sim = BPlusTree::bulk_load_with_depth(&ks, 10, Addr::new(0x1000), 16);
+        let mut paged = materialize_tree(&sim).unwrap();
+        let shape = sim.shape();
+        let heap = shape.data_base.get()..shape.value_heap_end;
+        let mut rng = SplitRng::stream(11, 0x51ab);
+        let (mut restructured, mut total) = (0u64, 0u64);
+        for op in 0..2000 {
+            let key = rng.gen_range(0u64..6000 * 4 + 8);
+            let insert = rng.gen_range(0u64..2) == 0;
+            let mut path = Vec::new();
+            sim.walk(key, |id, info| path.push((id, *info)));
+            let before = paged.io_stats().node_writes;
+            let rep = if insert {
+                let rep = sim.insert_key(key);
+                assert_eq!(rep, paged.insert_key(key).unwrap(), "op {op}");
+                rep
+            } else {
+                let rep = sim.delete_key(key);
+                assert_eq!(rep, paged.delete_key(key).unwrap(), "op {op}");
+                rep
+            };
+            let wrote = paged.io_stats().node_writes - before;
+            // What may be written: the nodes the report names, plus path
+            // nodes whose bounds moved (a pure bound change is unreported).
+            let mut allowed: std::collections::BTreeSet<Addr> = rep
+                .writes
+                .iter()
+                .map(|&(addr, _)| addr)
+                .filter(|a| !heap.contains(&a.get()))
+                .collect();
+            for (id, was) in path {
+                let now = sim.node(id);
+                if (now.lo, now.hi) != (was.lo, was.hi) {
+                    allowed.insert(now.addr);
+                }
+            }
+            assert!(
+                wrote <= allowed.len() as u64,
+                "op {op} (key {key}, insert {insert}): {wrote} node writes for {} changed nodes",
+                allowed.len()
+            );
+            assert_eq!(wrote == 0, !rep.applied, "op {op}: a no-op writes nothing");
+            restructured += u64::from(rep.splits + rep.merges + rep.rebalances);
+            total += wrote;
+        }
+        assert!(
+            restructured > 200,
+            "storm must restructure ({restructured})"
+        );
+        assert!(total > 2000, "storm must write ({total})");
+    }
+
+    #[test]
+    fn a_noop_mutation_leaves_stage_and_file_alone() {
+        let sim = BPlusTree::bulk_load(&keys(300, 2), 8, Addr::new(0), 16);
+        let mut paged = materialize_tree(&sim).unwrap();
+        paged.prefetch_node(paged.root()).unwrap();
+        let written = paged.file_stats().pages_written;
+        assert!(!paged.insert_key(4).unwrap().applied);
+        assert!(!paged.delete_key(5).unwrap().applied);
+        assert_eq!(paged.file_stats().pages_written, written);
+        assert_eq!(paged.io_stats().node_writes, 0);
+        assert_eq!(paged.staged_len(), 1, "a no-op must not clear the stage");
+    }
+
+    #[test]
+    fn a_mutation_that_fails_on_a_read_leaves_the_file_untouched() {
+        let ks = keys(2000, 2);
+        let sim = BPlusTree::bulk_load(&ks, 4, Addr::new(0), 16);
+        let mut paged = materialize_tree(&sim).unwrap();
+        // Corrupt one page of the path to key 1001: its interior node
+        // two levels below the root.
+        let (path, _) = paged.path_from(paged.root(), 1001).unwrap();
+        let (victim, _) = path[2];
+        let page = paged.meta[victim as usize].page;
+        {
+            use std::os::unix::fs::FileExt;
+            let raw = std::fs::OpenOptions::new()
+                .write(true)
+                .open(paged.file.path())
+                .unwrap();
+            raw.write_all_at(&[0xff; 8], page * super::super::blockfile::PAGE_BYTES + 40)
+                .unwrap();
+        }
+        let written = paged.file_stats().pages_written;
+        for result in [paged.insert_key(1001), paged.delete_key(1000)] {
+            let err = result.expect_err("the path crosses a corrupted page");
+            assert!(
+                err.context.contains(&format!("page {page}")) && err.context.contains("checksum"),
+                "{err}"
+            );
+        }
+        assert_eq!(paged.file_stats().pages_written, written);
+        assert_eq!(paged.len(), sim.len());
+        // Keys whose path avoids the page still mutate.
+        assert!(paged.insert_key(1).unwrap().applied);
+    }
+
+    /// A named block file in a directory of its own (two handles on one
+    /// file: the tree under test, and a reopen beside it).
+    fn scratch_file(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("metal-pt-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("tree.blk")
+    }
+
+    #[test]
+    fn persist_never_overwrites_the_directory_the_superblock_names() {
+        let path = scratch_file("persist");
+        let mut sim = BPlusTree::bulk_load(&keys(400, 3), 8, Addr::new(0), 16);
+        let mut paged = PagedTree::materialize(&sim, BlockFile::create(&path).unwrap()).unwrap();
+        let mut named = None;
+        for round in 0..4u64 {
+            for k in 0..40 {
+                let key = round * 1000 + k * 7 + 1;
+                assert_eq!(sim.insert_key(key), paged.insert_key(key).unwrap());
+                assert_eq!(sim.delete_key(k * 9), paged.delete_key(k * 9).unwrap());
+            }
+            paged.persist().unwrap();
+            let now = paged.file.root().unwrap();
+            assert!(
+                now.is_some() && now != named,
+                "round {round}: {named:?} reused"
+            );
+            named = now;
+            let mut again = PagedTree::reopen(BlockFile::open(&path).unwrap()).unwrap();
+            assert_eq!(again.len(), sim.len());
+            for id in 0..sim.node_count() as NodeId {
+                assert_eq!(again.read_node(id).unwrap(), sim.export_node(id));
+            }
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn reopen_rejects_a_directory_whose_halves_disagree() {
+        let path = scratch_file("forged");
+        let mut sim = BPlusTree::bulk_load(&keys(300, 2), 4, Addr::new(0), 16);
+        let mut paged = PagedTree::materialize(&sim, BlockFile::create(&path).unwrap()).unwrap();
+        for k in keys(120, 2) {
+            assert_eq!(sim.delete_key(k), paged.delete_key(k).unwrap());
+        }
+        assert!(paged.tombstones.len() >= 2, "storm must merge nodes away");
+        paged.persist().unwrap();
+        let dir_page = paged.file.root().unwrap().unwrap();
+        let good = paged.file.load(dir_page).unwrap();
+        // Offsets into the blob: 82 bytes of scalars, then 17 bytes per
+        // node (page, bytes, dead flag), then the tombstone list.
+        let n_nodes = paged.node_count();
+        let dead_flag = |id: NodeId| 82 + id as usize * 17 + 16;
+        let tomb_list = 82 + n_nodes * 17;
+        let first_dead = *paged.tombstones.keys().min().unwrap();
+        let live = paged.root();
+        let forge = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut blob = good.clone();
+            edit(&mut blob);
+            let mut file = BlockFile::open(&path).unwrap();
+            let page = file.store(&blob).unwrap();
+            file.set_root(page).unwrap();
+            let err = PagedTree::reopen(file).expect_err("forged directory must not open");
+            assert!(err.context.contains("malformed tree directory"), "{err}");
+            err.context
+        };
+        // A dead flag with no tombstone behind it.
+        assert!(forge(&|b| b[dead_flag(live)] = 1).contains("dead nodes but"));
+        // A tombstone whose node is flagged live.
+        assert!(forge(&|b| b[dead_flag(first_dead)] = 0).contains("not dead"));
+        // A tombstone id out of range, the same tombstone twice (the
+        // second entry renamed to the first's id), a root out of range.
+        let first = tomb_list + 4;
+        assert!(
+            forge(&|b| b[first..first + 4].copy_from_slice(&u32::MAX.to_le_bytes()))
+                .contains("not dead")
+        );
+        let len = u32::from_le_bytes(good[first + 4..first + 8].try_into().unwrap()) as usize;
+        let second = first + 8 + len;
+        assert!(forge(&|b| b.copy_within(first..first + 4, second)).contains("two tombstones"));
+        assert!(
+            forge(&|b| b[4..8].copy_from_slice(&(n_nodes as u32).to_le_bytes()))
+                .contains("out of range")
+        );
+        // The untouched directory still opens.
+        let mut file = BlockFile::open(&path).unwrap();
+        let page = file.store(&good).unwrap();
+        file.set_root(page).unwrap();
+        let mut again = PagedTree::reopen(file).unwrap();
+        assert_eq!(
+            again.read_node(first_dead).unwrap(),
+            sim.export_node(first_dead)
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

@@ -19,202 +19,21 @@
 //! re-walking (used by the Scan workload's in-leaf phase).
 
 use crate::arena::{Arena, NodeId};
+use crate::bpnode::{Node, NodeKind};
+use crate::nodestore::{self, NodeStore};
 use crate::walk::{Descend, NodeInfo, WalkIndex};
-use metal_sim::obs::MutKind;
 use metal_sim::types::{Addr, Key};
+use std::convert::Infallible;
 
-/// Per-node byte-size model: header + keys + pointers (8 B each).
-const NODE_HEADER_BYTES: u64 = 16;
-
-#[derive(Debug, Clone)]
-enum NodeKind {
-    Interior {
-        /// `seps[i]` is the smallest key of `children[i + 1]`.
-        seps: Vec<Key>,
-        children: Vec<NodeId>,
-    },
-    Leaf {
-        keys: Vec<Key>,
-        /// `ranks[i]` locates `keys[i]`'s record: ranks are append-only
-        /// (an inserted key gets the next fresh rank; deleted ranks are
-        /// never reused), so record addresses stay stable under mutation.
-        ranks: Vec<u64>,
-        /// Next leaf to the right, for range scans.
-        next: Option<NodeId>,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct Node {
-    kind: NodeKind,
-    level: u8,
-    lo: Key,
-    hi: Key,
-    slot: usize,
-    /// True once the node was merged away; dead nodes are unreachable
-    /// from the root (and their cached tags are invalidated), they only
-    /// remain in the vec because node ids are positional.
-    dead: bool,
-}
-
-/// The key span a structural mutation staled: cached `[Lo, Hi]` tags at
-/// this level overlapping the span may route around the restructured
-/// nodes and must be invalidated.
-///
-/// A structural op at level `L` re-fences its span at **every** level
-/// `0..=L`, not just `L`: `rebuild_seps` derives separators from the
-/// children's *current* bounds, and bounds silently shrink on boundary
-/// deletes (which alone change no routing and stale nothing). When a
-/// later split/merge/rebalance rebuilds the fences, keys in the
-/// abandoned margin re-route to a sibling subtree — so a tag cached at
-/// any deeper level inside the span may now claim keys that route
-/// elsewhere. The report therefore carries one span per affected level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaleSpan {
-    /// An affected level (the restructured node's level and, for the
-    /// fence-abandonment hazard above, every level below it).
-    pub level: u8,
-    /// Low key of the pre-mutation span.
-    pub lo: Key,
-    /// High key of the pre-mutation span (inclusive).
-    pub hi: Key,
-    /// Which structural mutation produced it.
-    pub op: MutKind,
-}
-
-/// What one insert/delete did to the tree: the stale spans a coherent
-/// cache must invalidate, plus write-back traffic for the DRAM model.
-///
-/// Pure bound changes report nothing: a tag that under-covers after an
-/// extension just misses (correct), and a tag wider than a shrunken node
-/// still descends to the right place — only splits, merges and sibling
-/// rebalances move keys between nodes and can strand a short-circuit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MutationReport {
-    /// False when the op was a no-op (inserting a present key, deleting
-    /// an absent one); no other field is meaningful then.
-    pub applied: bool,
-    /// Node splits performed (a root split counts once).
-    pub splits: u32,
-    /// Node merges performed.
-    pub merges: u32,
-    /// Sibling rebalances (borrows) performed.
-    pub rebalances: u32,
-    /// Stale spans, deepest level first (mutations cascade upward).
-    pub stale: Vec<StaleSpan>,
-    /// `(addr, bytes)` of every node/record written back.
-    pub writes: Vec<(Addr, u64)>,
-}
-
-/// Records `[lo, hi]` as stale at `level` and every level below it —
-/// see [`StaleSpan`] for why a restructure re-fences its whole subtree.
-fn push_stale(report: &mut MutationReport, level: u8, lo: Key, hi: Key, op: MutKind) {
-    for l in (0..=level).rev() {
-        report.stale.push(StaleSpan {
-            level: l,
-            lo,
-            hi,
-            op,
-        });
-    }
-}
-
-/// Scalar geometry of a [`BPlusTree`], exported so an external storage
-/// backend (the native paged executor in `metal-core`) can materialize a
-/// byte-for-byte equivalent tree: same node ids, same simulated
-/// addresses, same mutation thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeShape {
-    /// Root node id.
-    pub root: NodeId,
-    /// Number of levels.
-    pub depth: u8,
-    /// Keys per leaf at bulk load (mutation overflow threshold).
-    pub leaf_cap: usize,
-    /// Children per interior node at bulk load (overflow threshold).
-    pub fanout: usize,
-    /// Number of keys indexed.
-    pub n_keys: u64,
-    /// Next fresh record rank.
-    pub next_rank: u64,
-    /// First address of the node arena.
-    pub arena_base: Addr,
-    /// Base address of the data-record region.
-    pub data_base: Addr,
-    /// Bytes per data record.
-    pub record_bytes: u64,
-    /// One past the reserved value heap (mutation-allocated nodes land
-    /// beyond it).
-    pub value_heap_end: u64,
-    /// Whether the arena cursor has already advanced past the value heap
-    /// (true once any structural mutation allocated a node).
-    pub mut_ready: bool,
-}
-
-/// Exported contents of one node (see [`BPlusTree::export_node`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeExport {
-    /// An interior node: separators plus child pointers.
-    Interior {
-        /// `seps[i]` is the smallest key of `children[i + 1]`.
-        seps: Vec<Key>,
-        /// Child node ids.
-        children: Vec<NodeId>,
-    },
-    /// A leaf node: keys plus record ranks and the right-sibling link.
-    Leaf {
-        /// Sorted keys.
-        keys: Vec<Key>,
-        /// Record rank per key.
-        ranks: Vec<u64>,
-        /// Next leaf to the right.
-        next: Option<NodeId>,
-    },
-}
-
-/// One node exported with its placement metadata, enough to rebuild the
-/// node (and its [`NodeInfo`]) in a different storage backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExportedNode {
-    /// Level counted from the leaves.
-    pub level: u8,
-    /// Smallest key reachable through this node.
-    pub lo: Key,
-    /// Largest key reachable through this node (inclusive).
-    pub hi: Key,
-    /// True once the node was merged away.
-    pub dead: bool,
-    /// Simulated physical address (arena placement).
-    pub addr: Addr,
-    /// Logical byte size (arena placement, pre-rounding).
-    pub bytes: u64,
-    /// The node's keys/pointers.
-    pub contents: NodeExport,
-}
+pub use crate::nodestore::{MutationReport, StaleSpan, TreeShape};
 
 /// A bulk-loaded B+tree with simulated physical placement.
 #[derive(Debug, Clone)]
 pub struct BPlusTree {
+    /// Node ids are positional, and equal to the node's arena slot.
     nodes: Vec<Node>,
-    root: NodeId,
-    depth: u8,
     arena: Arena,
-    data_base: Addr,
-    record_bytes: u64,
-    n_keys: u64,
-    /// Keys per leaf at bulk load; the overflow threshold for mutation.
-    leaf_cap: usize,
-    /// Children per interior node at bulk load; overflow threshold.
-    fanout: usize,
-    /// Next fresh record rank (append-only value heap).
-    next_rank: u64,
-    /// One past the reserved value heap; mutation-allocated nodes are
-    /// placed beyond it so they never alias data records.
-    value_heap_end: u64,
-    /// Whether the arena cursor has been advanced past the value heap
-    /// (deferred to the first mutation so read-only trees keep their
-    /// exact bulk-load footprint).
-    mut_ready: bool,
+    shape: TreeShape,
 }
 
 impl BPlusTree {
@@ -257,15 +76,18 @@ impl BPlusTree {
 
         let mut arena = Arena::new(base);
         let mut nodes: Vec<Node> = Vec::new();
+        // Node ids are arena slots: every node is pushed as it is placed.
+        let mut push = |nodes: &mut Vec<Node>, node: Node| {
+            let id = arena.alloc(node.model_bytes()) as NodeId;
+            nodes.push(node);
+            id
+        };
 
         // Build leaves.
         let mut level_ids: Vec<NodeId> = Vec::new();
         let mut rank = 0u64;
         for chunk in keys.chunks(leaf_keys) {
-            let bytes = NODE_HEADER_BYTES + chunk.len() as u64 * 16;
-            let slot = arena.alloc(bytes);
-            let id = nodes.len() as NodeId;
-            nodes.push(Node {
+            let leaf = Node {
                 kind: NodeKind::Leaf {
                     keys: chunk.to_vec(),
                     ranks: (rank..rank + chunk.len() as u64).collect(),
@@ -274,11 +96,10 @@ impl BPlusTree {
                 level: 0,
                 lo: chunk[0],
                 hi: *chunk.last().expect("chunks are non-empty"),
-                slot,
                 dead: false,
-            });
+            };
             rank += chunk.len() as u64;
-            level_ids.push(id);
+            level_ids.push(push(&mut nodes, leaf));
         }
         // Link leaves.
         for w in 0..level_ids.len().saturating_sub(1) {
@@ -294,47 +115,42 @@ impl BPlusTree {
             level += 1;
             let mut upper: Vec<NodeId> = Vec::new();
             for group in level_ids.chunks(fanout) {
-                let seps: Vec<Key> = group[1..].iter().map(|&c| nodes[c as usize].lo).collect();
-                let bytes = NODE_HEADER_BYTES + seps.len() as u64 * 8 + group.len() as u64 * 8;
-                let slot = arena.alloc(bytes);
-                let id = nodes.len() as NodeId;
-                let lo = nodes[group[0] as usize].lo;
-                let hi = nodes[*group.last().expect("groups are non-empty") as usize].hi;
-                nodes.push(Node {
+                let interior = Node {
                     kind: NodeKind::Interior {
-                        seps,
+                        seps: group[1..].iter().map(|&c| nodes[c as usize].lo).collect(),
                         children: group.to_vec(),
                     },
                     level,
-                    lo,
-                    hi,
-                    slot,
+                    lo: nodes[group[0] as usize].lo,
+                    hi: nodes[*group.last().expect("groups are non-empty") as usize].hi,
                     dead: false,
-                });
-                upper.push(id);
+                };
+                upper.push(push(&mut nodes, interior));
             }
             level_ids = upper;
         }
 
-        let root = level_ids[0];
-        let depth = level + 1;
         let data_base = arena.end();
-        // Reserve value-heap headroom for twice the bulk-loaded key count
-        // (append-only ranks): mutation-allocated nodes go beyond it.
-        let value_heap_end = data_base.get() + 2 * keys.len() as u64 * record_bytes.max(1);
-        BPlusTree {
-            nodes,
-            root,
-            depth,
-            arena,
-            data_base,
-            record_bytes,
-            n_keys: keys.len() as u64,
+        let shape = TreeShape {
+            root: level_ids[0],
+            depth: level + 1,
             leaf_cap: leaf_keys,
             fanout,
+            n_keys: keys.len() as u64,
             next_rank: keys.len() as u64,
-            value_heap_end,
+            arena_base: arena.base(),
+            data_base,
+            record_bytes,
+            // Reserve value-heap headroom for twice the bulk-loaded key
+            // count (append-only ranks): mutation-allocated nodes go
+            // beyond it.
+            value_heap_end: data_base.get() + 2 * keys.len() as u64 * record_bytes.max(1),
             mut_ready: false,
+        };
+        BPlusTree {
+            nodes,
+            arena,
+            shape,
         }
     }
 
@@ -413,28 +229,28 @@ impl BPlusTree {
 
     /// The fanout-independent number of keys indexed.
     pub fn len(&self) -> u64 {
-        self.n_keys
+        self.shape.n_keys
     }
 
     /// Whether the tree indexes no keys (never true: empty trees panic at
     /// construction, but the method completes the collection interface).
     pub fn is_empty(&self) -> bool {
-        self.n_keys == 0
+        self.shape.n_keys == 0
     }
 
     /// Base address of the data-record region.
     pub fn data_base(&self) -> Addr {
-        self.data_base
+        self.shape.data_base
     }
 
     /// Bytes per data record.
     pub fn record_bytes(&self) -> u64 {
-        self.record_bytes
+        self.shape.record_bytes
     }
 
     /// The leaf that would contain `key`.
     pub fn leaf_for(&self, key: Key) -> NodeId {
-        let mut id = self.root;
+        let mut id = self.shape.root;
         loop {
             match self.descend(id, key) {
                 Descend::Child(c) => id = c,
@@ -445,10 +261,7 @@ impl BPlusTree {
 
     /// The next leaf to the right of `leaf`, if any.
     pub fn next_leaf(&self, leaf: NodeId) -> Option<NodeId> {
-        match &self.nodes[leaf as usize].kind {
-            NodeKind::Leaf { next, .. } => *next,
-            NodeKind::Interior { .. } => None,
-        }
+        self.nodes[leaf as usize].next_leaf()
     }
 
     /// Keys stored in `leaf` (empty for interior nodes).
@@ -491,554 +304,77 @@ impl BPlusTree {
             .collect()
     }
 
-    /// Inserts `key`, splitting overflowing nodes up the walk path (a
-    /// root split grows the tree by one level). Inserting a present key
-    /// is a no-op (`applied == false`). The report lists every stale
-    /// span a coherent IX-cache must invalidate.
+    /// Inserts `key`, splitting overflowing nodes up the walk path (see
+    /// [`nodestore::insert_key`], the one algorithm every store runs).
     pub fn insert_key(&mut self, key: Key) -> MutationReport {
-        let mut report = MutationReport::default();
-        let path = self.path_to_leaf(key);
-        let leaf = *path.last().expect("path ends at a leaf");
-        {
-            let NodeKind::Leaf { keys, ranks, .. } = &mut self.nodes[leaf as usize].kind else {
-                unreachable!("path ends at a leaf");
-            };
-            let Err(pos) = keys.binary_search(&key) else {
-                return report;
-            };
-            keys.insert(pos, key);
-            ranks.insert(pos, self.next_rank);
-        }
-        report.applied = true;
-        report.writes.push(self.node_write(leaf));
-        // The new record itself (append-only value heap).
-        report.writes.push((
-            Addr::new(self.data_base.get() + self.next_rank * self.record_bytes),
-            self.record_bytes.max(1),
-        ));
-        self.next_rank += 1;
-        self.n_keys += 1;
-
-        // Ascend the path: split overflowing nodes, refresh bounds.
-        for pos in (0..path.len()).rev() {
-            let id = path[pos];
-            let over = match &self.nodes[id as usize].kind {
-                NodeKind::Leaf { keys, .. } => keys.len() > self.leaf_cap,
-                NodeKind::Interior { children, .. } => children.len() > self.fanout,
-            };
-            if !over {
-                self.refresh_bounds(id);
-                continue;
-            }
-            let (old_lo, old_hi, level) = {
-                let n = &self.nodes[id as usize];
-                (n.lo, n.hi, n.level)
-            };
-            let sib = self.split_node(id);
-            report.splits += 1;
-            push_stale(&mut report, level, old_lo, old_hi, MutKind::Split);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(sib));
-            let sib_lo = self.nodes[sib as usize].lo;
-            if pos == 0 {
-                // The root itself split: grow a new root above it.
-                let bytes = NODE_HEADER_BYTES + 8 + 2 * 8;
-                let slot = self.arena.alloc(bytes);
-                let rid = self.nodes.len() as NodeId;
-                let lo = self.nodes[id as usize].lo;
-                let hi = self.nodes[sib as usize].hi;
-                self.nodes.push(Node {
-                    kind: NodeKind::Interior {
-                        seps: vec![sib_lo],
-                        children: vec![id, sib],
-                    },
-                    level: level + 1,
-                    lo,
-                    hi,
-                    slot,
-                    dead: false,
-                });
-                self.root = rid;
-                self.depth += 1;
-                report.writes.push(self.node_write(rid));
-            } else {
-                let parent = path[pos - 1];
-                let NodeKind::Interior { seps, children } = &mut self.nodes[parent as usize].kind
-                else {
-                    unreachable!("parents are interior");
-                };
-                let cpos = children
-                    .iter()
-                    .position(|&c| c == id)
-                    .expect("parent lists its child");
-                children.insert(cpos + 1, sib);
-                seps.insert(cpos, sib_lo);
-                report.writes.push(self.node_write(parent));
-            }
-        }
-        report
+        nodestore::insert_key(self, key).unwrap_or_else(|never| match never {})
     }
 
     /// Deletes `key`, rebalancing or merging underflowing nodes up the
-    /// walk path. Deleting an absent key is a no-op (`applied ==
-    /// false`). The root is exempt from underflow: depth never shrinks,
-    /// and a root leaf may end up empty (its span collapses so it covers
-    /// nothing).
+    /// walk path (see [`nodestore::delete_key`]).
     pub fn delete_key(&mut self, key: Key) -> MutationReport {
-        let mut report = MutationReport::default();
-        let path = self.path_to_leaf(key);
-        let leaf = *path.last().expect("path ends at a leaf");
-        {
-            let NodeKind::Leaf { keys, ranks, .. } = &mut self.nodes[leaf as usize].kind else {
-                unreachable!("path ends at a leaf");
-            };
-            let Ok(pos) = keys.binary_search(&key) else {
-                return report;
-            };
-            keys.remove(pos);
-            ranks.remove(pos);
-        }
-        self.n_keys -= 1;
-        report.applied = true;
-        report.writes.push(self.node_write(leaf));
-
-        let min_leaf = (self.leaf_cap / 2).max(1);
-        let min_children = (self.fanout / 2).max(2);
-        // Ascend the path (root exempt): fix underflow, refresh bounds.
-        for pos in (1..path.len()).rev() {
-            let id = path[pos];
-            let under = match &self.nodes[id as usize].kind {
-                NodeKind::Leaf { keys, .. } => keys.len() < min_leaf,
-                NodeKind::Interior { children, .. } => children.len() < min_children,
-            };
-            if !under {
-                self.refresh_bounds(id);
-                continue;
-            }
-            self.rebalance_or_merge(path[pos - 1], id, &mut report);
-        }
-        self.refresh_bounds(path[0]);
-        report
-    }
-
-    /// Lazily reserves the value heap before the first mutation
-    /// allocates a node, so split nodes never alias data records.
-    /// Read-only trees never pay for this (exact bulk-load footprint).
-    fn ensure_mut_region(&mut self) {
-        if !self.mut_ready {
-            self.arena.skip_to(Addr::new(self.value_heap_end));
-            self.mut_ready = true;
-        }
-    }
-
-    fn path_to_leaf(&self, key: Key) -> Vec<NodeId> {
-        let mut path = vec![self.root];
-        loop {
-            let id = *path.last().expect("path starts at the root");
-            match &self.nodes[id as usize].kind {
-                NodeKind::Interior { seps, children } => {
-                    let idx = seps.partition_point(|&s| s <= key);
-                    path.push(children[idx]);
-                }
-                NodeKind::Leaf { .. } => return path,
-            }
-        }
-    }
-
-    fn node_write(&self, id: NodeId) -> (Addr, u64) {
-        let slot = self.nodes[id as usize].slot;
-        (self.arena.addr(slot), self.arena.bytes(slot))
-    }
-
-    /// Recomputes `[lo, hi]` from current contents. An empty (root) leaf
-    /// collapses to a single-key span at its old low bound, which a walk
-    /// resolves as not-found.
-    fn refresh_bounds(&mut self, id: NodeId) {
-        let (lo, hi) = match &self.nodes[id as usize].kind {
-            NodeKind::Leaf { keys, .. } => match (keys.first(), keys.last()) {
-                (Some(&lo), Some(&hi)) => (lo, hi),
-                _ => {
-                    let n = &self.nodes[id as usize];
-                    (n.lo, n.lo)
-                }
-            },
-            NodeKind::Interior { children, .. } => {
-                let first = children[0] as usize;
-                let last = *children.last().expect("interior keeps a child") as usize;
-                (self.nodes[first].lo, self.nodes[last].hi)
-            }
-        };
-        let n = &mut self.nodes[id as usize];
-        n.lo = lo;
-        n.hi = hi;
-    }
-
-    /// Rebuilds an interior node's separators from its children's low
-    /// bounds (no-op for leaves).
-    fn rebuild_seps(&mut self, id: NodeId) {
-        let seps: Vec<Key> = {
-            let NodeKind::Interior { children, .. } = &self.nodes[id as usize].kind else {
-                return;
-            };
-            children[1..]
-                .iter()
-                .map(|&c| self.nodes[c as usize].lo)
-                .collect()
-        };
-        if let NodeKind::Interior { seps: s, .. } = &mut self.nodes[id as usize].kind {
-            *s = seps;
-        }
-    }
-
-    /// Splits overflowing node `id` in half, returning the new right
-    /// sibling (allocated past the value heap).
-    fn split_node(&mut self, id: NodeId) -> NodeId {
-        self.ensure_mut_region();
-        let level = self.nodes[id as usize].level;
-        let rid = self.nodes.len() as NodeId;
-        enum Half {
-            Leaf {
-                keys: Vec<Key>,
-                ranks: Vec<u64>,
-                next: Option<NodeId>,
-            },
-            Interior {
-                children: Vec<NodeId>,
-            },
-        }
-        let half = match &mut self.nodes[id as usize].kind {
-            NodeKind::Leaf { keys, ranks, next } => {
-                let at = keys.len() / 2;
-                let h = Half::Leaf {
-                    keys: keys.split_off(at),
-                    ranks: ranks.split_off(at),
-                    next: *next,
-                };
-                *next = Some(rid);
-                h
-            }
-            NodeKind::Interior { children, .. } => {
-                let at = children.len() / 2;
-                Half::Interior {
-                    children: children.split_off(at),
-                }
-            }
-        };
-        match half {
-            Half::Leaf { keys, ranks, next } => {
-                let bytes = NODE_HEADER_BYTES + keys.len() as u64 * 16;
-                let slot = self.arena.alloc(bytes);
-                let (lo, hi) = (keys[0], *keys.last().expect("split halves are non-empty"));
-                self.nodes.push(Node {
-                    kind: NodeKind::Leaf { keys, ranks, next },
-                    level,
-                    lo,
-                    hi,
-                    slot,
-                    dead: false,
-                });
-            }
-            Half::Interior { children } => {
-                let seps: Vec<Key> = children[1..]
-                    .iter()
-                    .map(|&c| self.nodes[c as usize].lo)
-                    .collect();
-                let bytes = NODE_HEADER_BYTES + seps.len() as u64 * 8 + children.len() as u64 * 8;
-                let slot = self.arena.alloc(bytes);
-                let lo = self.nodes[children[0] as usize].lo;
-                let hi = self.nodes[*children.last().expect("non-empty") as usize].hi;
-                self.nodes.push(Node {
-                    kind: NodeKind::Interior { seps, children },
-                    level,
-                    lo,
-                    hi,
-                    slot,
-                    dead: false,
-                });
-            }
-        }
-        self.rebuild_seps(id);
-        self.refresh_bounds(id);
-        rid
-    }
-
-    /// Whether folding `r` into `l` stays within node capacity.
-    fn can_merge(&self, l: NodeId, r: NodeId) -> bool {
-        match (&self.nodes[l as usize].kind, &self.nodes[r as usize].kind) {
-            (NodeKind::Leaf { keys: a, .. }, NodeKind::Leaf { keys: b, .. }) => {
-                a.len() + b.len() <= self.leaf_cap
-            }
-            (NodeKind::Interior { children: a, .. }, NodeKind::Interior { children: b, .. }) => {
-                a.len() + b.len() <= self.fanout
-            }
-            _ => false,
-        }
-    }
-
-    /// Fixes underflowing `id`: borrow from an adjacent sibling with
-    /// surplus, else merge with one (a node left underfull when neither
-    /// applies — e.g. an only child — still routes correctly).
-    fn rebalance_or_merge(&mut self, parent: NodeId, id: NodeId, report: &mut MutationReport) {
-        let (cpos, left, right) = {
-            let NodeKind::Interior { children, .. } = &self.nodes[parent as usize].kind else {
-                unreachable!("parents are interior");
-            };
-            let cpos = children
-                .iter()
-                .position(|&c| c == id)
-                .expect("parent lists its child");
-            (
-                cpos,
-                (cpos > 0).then(|| children[cpos - 1]),
-                children.get(cpos + 1).copied(),
-            )
-        };
-        let surplus = |t: &Self, n: NodeId| match &t.nodes[n as usize].kind {
-            NodeKind::Leaf { keys, .. } => keys.len() > (t.leaf_cap / 2).max(1),
-            NodeKind::Interior { children, .. } => children.len() > (t.fanout / 2).max(2),
-        };
-        let level = self.nodes[id as usize].level;
-        if let Some(l) = left.filter(|&l| surplus(self, l)) {
-            let (lo, hi) = (self.nodes[l as usize].lo, self.nodes[id as usize].hi);
-            self.borrow_from_left(parent, cpos, l, id);
-            report.rebalances += 1;
-            push_stale(report, level, lo, hi, MutKind::Rebalance);
-            report.writes.push(self.node_write(l));
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(r) = right.filter(|&r| surplus(self, r)) {
-            let (lo, hi) = (self.nodes[id as usize].lo, self.nodes[r as usize].hi);
-            self.borrow_from_right(parent, cpos, id, r);
-            report.rebalances += 1;
-            push_stale(report, level, lo, hi, MutKind::Rebalance);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(r));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(l) = left.filter(|&l| self.can_merge(l, id)) {
-            let (lo, hi) = (self.nodes[l as usize].lo, self.nodes[id as usize].hi);
-            self.merge_into_left(parent, cpos - 1, l, id);
-            report.merges += 1;
-            push_stale(report, level, lo, hi, MutKind::Merge);
-            report.writes.push(self.node_write(l));
-            report.writes.push(self.node_write(parent));
-        } else if let Some(r) = right.filter(|&r| self.can_merge(id, r)) {
-            let (lo, hi) = (self.nodes[id as usize].lo, self.nodes[r as usize].hi);
-            self.merge_into_left(parent, cpos, id, r);
-            report.merges += 1;
-            push_stale(report, level, lo, hi, MutKind::Merge);
-            report.writes.push(self.node_write(id));
-            report.writes.push(self.node_write(parent));
-        }
-    }
-
-    /// Moves the last key/child of `l` to the front of `id` (`l` is the
-    /// left sibling at child position `cpos - 1`).
-    fn borrow_from_left(&mut self, parent: NodeId, cpos: usize, l: NodeId, id: NodeId) {
-        enum Moved {
-            Key(Key, u64),
-            Child(NodeId),
-        }
-        let moved = match &mut self.nodes[l as usize].kind {
-            NodeKind::Leaf { keys, ranks, .. } => Moved::Key(
-                keys.pop().expect("surplus leaf has keys"),
-                ranks.pop().expect("ranks track keys"),
-            ),
-            NodeKind::Interior { seps, children } => {
-                seps.pop();
-                Moved::Child(children.pop().expect("surplus interior has children"))
-            }
-        };
-        match moved {
-            Moved::Key(k, r) => {
-                if let NodeKind::Leaf { keys, ranks, .. } = &mut self.nodes[id as usize].kind {
-                    keys.insert(0, k);
-                    ranks.insert(0, r);
-                }
-            }
-            Moved::Child(c) => {
-                if let NodeKind::Interior { children, .. } = &mut self.nodes[id as usize].kind {
-                    children.insert(0, c);
-                }
-            }
-        }
-        self.rebuild_seps(id);
-        self.refresh_bounds(l);
-        self.refresh_bounds(id);
-        let new_lo = self.nodes[id as usize].lo;
-        if let NodeKind::Interior { seps, .. } = &mut self.nodes[parent as usize].kind {
-            seps[cpos - 1] = new_lo;
-        }
-    }
-
-    /// Moves the first key/child of `r` to the end of `id` (`r` is the
-    /// right sibling at child position `cpos + 1`).
-    fn borrow_from_right(&mut self, parent: NodeId, cpos: usize, id: NodeId, r: NodeId) {
-        enum Moved {
-            Key(Key, u64),
-            Child(NodeId),
-        }
-        let moved = match &mut self.nodes[r as usize].kind {
-            NodeKind::Leaf { keys, ranks, .. } => Moved::Key(keys.remove(0), ranks.remove(0)),
-            NodeKind::Interior { seps, children } => {
-                if !seps.is_empty() {
-                    seps.remove(0);
-                }
-                Moved::Child(children.remove(0))
-            }
-        };
-        match moved {
-            Moved::Key(k, rk) => {
-                if let NodeKind::Leaf { keys, ranks, .. } = &mut self.nodes[id as usize].kind {
-                    keys.push(k);
-                    ranks.push(rk);
-                }
-            }
-            Moved::Child(c) => {
-                if let NodeKind::Interior { children, .. } = &mut self.nodes[id as usize].kind {
-                    children.push(c);
-                }
-            }
-        }
-        self.rebuild_seps(id);
-        self.rebuild_seps(r);
-        self.refresh_bounds(id);
-        self.refresh_bounds(r);
-        let new_lo = self.nodes[r as usize].lo;
-        if let NodeKind::Interior { seps, .. } = &mut self.nodes[parent as usize].kind {
-            seps[cpos] = new_lo;
-        }
-    }
-
-    /// Folds `r` into its left sibling `l` and drops `r` from `parent`
-    /// (`sep_idx` is the separator between them; the removed child sits
-    /// at `sep_idx + 1`). `r` becomes a dead node.
-    fn merge_into_left(&mut self, parent: NodeId, sep_idx: usize, l: NodeId, r: NodeId) {
-        enum Contents {
-            Leaf(Vec<Key>, Vec<u64>, Option<NodeId>),
-            Interior(Vec<NodeId>),
-        }
-        let contents = match &mut self.nodes[r as usize].kind {
-            NodeKind::Leaf { keys, ranks, next } => {
-                Contents::Leaf(std::mem::take(keys), std::mem::take(ranks), next.take())
-            }
-            NodeKind::Interior { seps, children } => {
-                seps.clear();
-                Contents::Interior(std::mem::take(children))
-            }
-        };
-        self.nodes[r as usize].dead = true;
-        match contents {
-            Contents::Leaf(k, rk, nxt) => {
-                if let NodeKind::Leaf { keys, ranks, next } = &mut self.nodes[l as usize].kind {
-                    keys.extend(k);
-                    ranks.extend(rk);
-                    *next = nxt;
-                }
-            }
-            Contents::Interior(cs) => {
-                if let NodeKind::Interior { children, .. } = &mut self.nodes[l as usize].kind {
-                    children.extend(cs);
-                }
-            }
-        }
-        self.rebuild_seps(l);
-        self.refresh_bounds(l);
-        if let NodeKind::Interior { seps, children } = &mut self.nodes[parent as usize].kind {
-            seps.remove(sep_idx);
-            children.remove(sep_idx + 1);
-        }
+        nodestore::delete_key(self, key).unwrap_or_else(|never| match never {})
     }
 
     /// Scalar geometry for external storage backends (see [`TreeShape`]).
     pub fn shape(&self) -> TreeShape {
-        TreeShape {
-            root: self.root,
-            depth: self.depth,
-            leaf_cap: self.leaf_cap,
-            fanout: self.fanout,
-            n_keys: self.n_keys,
-            next_rank: self.next_rank,
-            arena_base: self.arena.base(),
-            data_base: self.data_base,
-            record_bytes: self.record_bytes,
-            value_heap_end: self.value_heap_end,
-            mut_ready: self.mut_ready,
-        }
+        self.shape
     }
 
-    /// Exports node `id` with its contents and arena placement so a
-    /// different storage backend can rebuild it verbatim. Node ids are
-    /// positional and dense: exporting `0..node_count()` in order yields
-    /// every node in its allocation order (slot == id).
-    pub fn export_node(&self, id: NodeId) -> ExportedNode {
-        let n = &self.nodes[id as usize];
-        let contents = match &n.kind {
-            NodeKind::Interior { seps, children } => NodeExport::Interior {
-                seps: seps.clone(),
-                children: children.clone(),
-            },
-            NodeKind::Leaf { keys, ranks, next } => NodeExport::Leaf {
-                keys: keys.clone(),
-                ranks: ranks.clone(),
-                next: *next,
-            },
-        };
-        ExportedNode {
-            level: n.level,
-            lo: n.lo,
-            hi: n.hi,
-            dead: n.dead,
-            addr: self.arena.addr(n.slot),
-            bytes: self.arena.bytes(n.slot),
-            contents,
-        }
+    /// A copy of node `id`, so a different storage backend can rebuild
+    /// it verbatim ([`WalkIndex::node`] has its arena placement). Node
+    /// ids are positional and dense: exporting `0..node_count()` in
+    /// order yields every node in its allocation order.
+    pub fn export_node(&self, id: NodeId) -> Node {
+        self.nodes[id as usize].clone()
+    }
+}
+
+/// The in-memory store: nodes in a vector, nothing can fail.
+impl NodeStore for BPlusTree {
+    type Error = Infallible;
+
+    fn shape(&mut self) -> &mut TreeShape {
+        &mut self.shape
+    }
+
+    fn get(&mut self, id: NodeId) -> Result<&Node, Infallible> {
+        Ok(&self.nodes[id as usize])
+    }
+
+    fn get_mut(&mut self, id: NodeId) -> Result<&mut Node, Infallible> {
+        Ok(&mut self.nodes[id as usize])
+    }
+
+    fn alloc(&mut self, node: Node) -> Result<NodeId, Infallible> {
+        self.shape.skip_value_heap(&mut self.arena);
+        let id = self.arena.alloc(node.model_bytes()) as NodeId;
+        self.nodes.push(node);
+        Ok(id)
+    }
+
+    fn node_write(&self, id: NodeId) -> (Addr, u64) {
+        (self.arena.addr(id as usize), self.arena.bytes(id as usize))
     }
 }
 
 impl WalkIndex for BPlusTree {
     fn root(&self) -> NodeId {
-        self.root
+        self.shape.root
     }
 
+    #[inline]
     fn node(&self, id: NodeId) -> NodeInfo {
-        let n = &self.nodes[id as usize];
-        let keys = match &n.kind {
-            NodeKind::Interior { seps, .. } => seps.len() as u16,
-            NodeKind::Leaf { keys, .. } => keys.len() as u16,
-        };
-        NodeInfo {
-            addr: self.arena.addr(n.slot),
-            bytes: self.arena.bytes(n.slot),
-            level: n.level,
-            lo: n.lo,
-            hi: n.hi,
-            keys,
-        }
+        self.nodes[id as usize].info(&self.arena, id)
     }
 
+    #[inline]
     fn descend(&self, id: NodeId, key: Key) -> Descend {
-        match &self.nodes[id as usize].kind {
-            NodeKind::Interior { seps, children } => {
-                let idx = seps.partition_point(|&s| s <= key);
-                Descend::Child(children[idx])
-            }
-            NodeKind::Leaf { keys, ranks, .. } => match keys.binary_search(&key) {
-                Ok(pos) => Descend::Leaf {
-                    found: true,
-                    value_addr: Addr::new(self.data_base.get() + ranks[pos] * self.record_bytes),
-                    value_bytes: self.record_bytes,
-                },
-                Err(_) => Descend::Leaf {
-                    found: false,
-                    value_addr: self.data_base,
-                    value_bytes: 0,
-                },
-            },
-        }
+        self.nodes[id as usize].descend(key, &self.shape)
     }
 
     fn depth(&self) -> u8 {
-        self.depth
+        self.shape.depth
     }
 
     fn total_blocks(&self) -> u64 {
@@ -1061,6 +397,7 @@ impl WalkIndex for BPlusTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metal_sim::obs::MutKind;
 
     fn seq(n: u64) -> Vec<Key> {
         (0..n).collect()

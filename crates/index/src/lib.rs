@@ -30,10 +30,12 @@
 //! `[lo, hi]` — which is exactly the metadata the IX-cache tags with.
 
 pub mod arena;
+pub mod bpnode;
 pub mod bptree;
 pub mod fiber;
 pub mod graph;
 pub mod hashtable;
+pub mod nodestore;
 pub mod rtree;
 pub mod skiplist;
 pub mod sortedset;
