@@ -165,12 +165,19 @@ echo "mutation fuzz smoke: 600 CRUD cases, zero divergences"
 # crates/verify/corpus/ like the IX-cache swarms.
 ./target/debug/ix_fuzz --cases 600 --seed 44 --backend native
 echo "native fuzz smoke: 600 end-to-end cases, zero sim/native divergences"
-# The same swarm pinned to the widest MLP window. A mutation clears the
-# prefetch stage once, when it flushes its frames, so the reads it makes
-# on the way can still be served by nodes scouts staged before it — the
-# default sweep draws width 8 for only a quarter of its cases.
+# The same swarm pinned to MLP widths. Writes no longer clear the
+# prefetch stage: a mutation's flush replaces the held copy (hot or
+# staged) of each node it writes and drops the copy of a node that died,
+# so the hazard is a held copy a flush forgot to update — it would
+# shadow its page for every later read. Width 8 keeps the most staged
+# copies alive across writes (the default sweep draws it for only a
+# quarter of its cases); width 2 is the tightest architect/scout
+# interleaving. Debug builds also check every held copy against its
+# page when a native shard ends.
 ./target/debug/ix_fuzz --cases 300 --seed 45 --backend native --mlp-width 8
 echo "native fuzz smoke, width 8: 300 end-to-end cases, zero sim/native divergences"
+./target/debug/ix_fuzz --cases 300 --seed 46 --backend native --mlp-width 2
+echo "native fuzz smoke, width 2: 300 end-to-end cases, zero sim/native divergences"
 # The --verify flag cross-checks a subsample of every figure workload
 # against the reference accounting model, without touching the CSV.
 ./target/release/fig15_miss_rate --scale ci --verify > "$tdir/verify.csv" 2> /dev/null

@@ -6,7 +6,7 @@
 //! same [`RunReport`], but every walk *executes*: nodes are materialized
 //! B+tree pages in block files ([`super::tree::PagedTree`]), the
 //! [`IxCache`] is a real software fast path (a probe hit resolves its
-//! node from the deserialized hot map without touching the page layer),
+//! node from the tree's decoded hot copy without touching the page layer),
 //! and mutations restructure the paged tree on disk. The cache-decision
 //! sequence is a line-for-line port of the simulator's `plan_metal` /
 //! `apply_write`, so both backends make **identical** cache decisions
@@ -44,19 +44,25 @@
 //! advances one tree level per yield in round-robin with its sibling
 //! scouts (the software pipeline), issuing a prefetch at every level —
 //! a staged page read for cold nodes, a `core::arch` prefetch hint for
-//! nodes already decoded in the hot map. Prefetched nodes land in the
-//! tree's bounded stage, where the architect's demand reads find them
-//! page-free.
+//! nodes already decoded in memory. A walk whose peek hits a leaf gets
+//! no scout: it resolves at a hot node. Prefetched nodes land in the
+//! tree's stage, a clock-managed ring of 4 096 decoded nodes (a staged
+//! hit sets the node's reference bit; a prefetch into a full stage
+//! evicts the first unreferenced node the hand reaches), where the
+//! architect's demand reads borrow them page-free.
 //!
 //! Correctness is preserved by construction, not by luck: scouts never
 //! probe, admit, evict or mutate, so the cache-decision sequence stays
 //! a pure function of walk order at every width and sim/native
 //! equivalence survives (`RunStats` is bit-identical across widths;
 //! only measured I/O attribution in [`NativeMetrics`] shifts between
-//! demand and prefetch counters). On any applied mutation the paged
-//! tree drops its whole prefetch stage and the shard loop re-opens its
-//! scout window from post-mutation state — the cheap, obviously
-//! correct staleness guard.
+//! demand and prefetch counters). A write invalidates per node, never
+//! the whole stage: the paged tree's flush replaces the held copy (hot
+//! or staged) of every node it writes and drops the copy of a node that
+//! died, so a staged node always equals its page and survives writes
+//! that did not touch it. After an applied mutation the shard loop
+//! re-opens its scout window, because the walks ahead may now route
+//! through nodes the mutation created.
 
 use super::codec::PagedNode;
 use super::tree::{materialize_tree, ns_since, PagedTree};
@@ -76,8 +82,8 @@ use metal_sim::types::Key;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
-/// Walks between hot-map garbage collections (drops deserialized nodes
-/// the IX-cache no longer references; observe-only bookkeeping).
+/// Walks between hot-copy garbage collections (drops decoded nodes the
+/// IX-cache no longer references; observe-only bookkeeping).
 const HOT_GC_WALKS: u64 = 1024;
 
 /// Measured (not modeled) execution counters of one native run.
@@ -252,15 +258,21 @@ impl NativeRun {
 
     /// Opens a scout for `req`: start node from a side-effect-free
     /// cache peek (the same short-circuit the real probe will take on a
-    /// hit), else the root. Never touches statistics or cache state.
+    /// hit), else the root. No scout when the peek hits a leaf: the walk
+    /// will resolve at a hot node, so there is nothing to fetch. Never
+    /// touches statistics or cache state.
     fn open_scout(&self, req: &WalkRequest) -> Option<Scout> {
         let idx = req.index as usize;
         let tree = self.trees.get(idx)?;
-        let start = self
+        let start = match self
             .cache
             .as_ref()
             .and_then(|b| b.cache.peek(req.index, req.key))
-            .map_or(tree.root(), |h| h.node);
+        {
+            Some(hit) if hit.level == 0 => return None,
+            Some(hit) => hit.node,
+            None => tree.root(),
+        };
         Some(Scout {
             index: idx,
             key: req.key,
@@ -305,14 +317,14 @@ impl NativeRun {
         self.walk_seq += 1;
         self.stats.walks += 1;
         self.pending_dram.clear();
-        if self.cache.is_some() {
-            self.exec_metal(req);
+        let leaf = if self.cache.is_some() {
+            self.exec_metal(req)
         } else {
-            self.exec_stream(req);
-        }
+            self.exec_stream(req)
+        };
         let mut mutated = false;
         if req.op.is_write() {
-            mutated = self.apply_write(req);
+            mutated = self.apply_write(req, leaf);
         }
         if self.observing() {
             self.emit(Event::WalkStart { walk, lane: 0 });
@@ -335,8 +347,9 @@ impl NativeRun {
     }
 
     /// Streaming baseline: every node access goes to the page layer
-    /// (port of the simulator's `Stream` plan arm).
-    fn exec_stream(&mut self, req: &WalkRequest) {
+    /// (port of the simulator's `Stream` plan arm). Returns the leaf
+    /// outcome the walk resolved.
+    fn exec_stream(&mut self, req: &WalkRequest) -> Descend {
         let t0 = std::time::Instant::now();
         let tree = &mut self.trees[req.index as usize];
         let (path, leaf) = io(tree.path_from(tree.root(), req.key));
@@ -370,13 +383,15 @@ impl NativeRun {
         if req.compute_ops > 0 {
             self.stats.compute_ops += req.compute_ops;
         }
+        leaf
     }
 
-    /// METAL walk: probe the IX-cache, short-circuit from the hot map on
-    /// a hit, fetch and admit the remaining path (port of `plan_metal`,
-    /// minus timing/energy — the decision and statistics sequence is
-    /// identical).
-    fn exec_metal(&mut self, req: &WalkRequest) {
+    /// METAL walk: probe the IX-cache, short-circuit from the hot copy
+    /// on a hit, fetch and admit the remaining path (port of
+    /// `plan_metal`, minus timing/energy — the decision and statistics
+    /// sequence is identical). Returns the leaf outcome the walk
+    /// resolved.
+    fn exec_metal(&mut self, req: &WalkRequest) -> Descend {
         let observing = self.observing();
         let idx = req.index as usize;
         let ctx = AdmitCtx {
@@ -410,10 +425,11 @@ impl NativeRun {
                     ts[idx].observe_node(hit.level, hit.node, tree.node_bytes(hit.node));
                 }
                 let skipped = (tree.depth() as u64).saturating_sub(hit.level as u64);
-                // The cached pointer resolves through the hot map — this
+                // The cached pointer resolves through the hot copy — this
                 // is the software fast path the native backend measures.
-                let node = io(tree.read_node(hit.node));
-                match tree.descend_in(&node, req.key) {
+                let step =
+                    io(tree.with_node(hit.node, |node, _, shape| node.descend(req.key, shape)));
+                match step {
                     Descend::Child(c) => {
                         let (path, leaf) = io(tree.path_nodes_from(c, req.key));
                         (path, leaf, skipped)
@@ -501,8 +517,8 @@ impl NativeRun {
                     );
                 }
                 if leaf_hit {
-                    // Hot-path leaf: resolved from the deserialized map.
-                    let _ = io(self.trees[idx].read_node(id));
+                    // Hot-path leaf: resolved from its hot copy.
+                    io(self.trees[idx].with_node(id, |_, _, _| ()));
                 } else {
                     self.stats.misses += 1;
                     fetches.push((info.addr.get(), info.bytes));
@@ -568,12 +584,14 @@ impl NativeRun {
                 );
             }
         }
+        leaf
     }
 
     /// Descriptor decision + insertion for one fetched node (port of the
     /// simulator's `admit_node`). On insert the node's decoded contents
-    /// also enter the tree's hot map — the cache now holds a live
-    /// pointer to it.
+    /// also become the tree's hot copy — the cache now holds a live
+    /// pointer to it. `node` is what a cold read decoded (`None` when a
+    /// held copy served the read: a staged one is then retagged hot).
     #[allow(clippy::too_many_arguments)]
     fn admit_node(
         tree: &mut PagedTree,
@@ -584,7 +602,7 @@ impl NativeRun {
         index_id: u8,
         id: NodeId,
         info: &metal_index::NodeInfo,
-        node: PagedNode,
+        node: Option<PagedNode>,
         ctx: &AdmitCtx,
     ) {
         let observing = sink.is_some();
@@ -654,7 +672,7 @@ impl NativeRun {
                     }
                 }
                 stats.inserts += 1;
-                tree.admit_hot_node(id, node);
+                io(tree.admit_hot_node(id, node));
             }
             Admit::Bypass => {
                 stats.bypasses += 1;
@@ -674,22 +692,31 @@ impl NativeRun {
     }
 
     /// Executes `req`'s write op against the paged tree (port of the
-    /// simulator's `apply_write` + `invalidate_stale`). Returns whether
-    /// a structural mutation was applied (updates-in-place and no-op
-    /// writes leave prefetched state valid).
-    fn apply_write(&mut self, req: &WalkRequest) -> bool {
+    /// simulator's `apply_write` + `invalidate_stale`); `leaf` is the
+    /// outcome of the walk that just served `req`. Returns whether a
+    /// structural mutation was applied (updates-in-place and no-op
+    /// writes change no node).
+    fn apply_write(&mut self, req: &WalkRequest, leaf: Descend) -> bool {
         let t0 = std::time::Instant::now();
-        let mutated = self.apply_write_inner(req);
+        let mutated = self.apply_write_inner(req, leaf);
         self.phase.mutation_ns += ns_since(t0);
         mutated
     }
 
-    fn apply_write_inner(&mut self, req: &WalkRequest) -> bool {
+    fn apply_write_inner(&mut self, req: &WalkRequest, leaf: Descend) -> bool {
         self.stats.write_walks += 1;
         let idx = req.index as usize;
         if req.op == OpKind::Update {
-            let tree = &mut self.trees[idx];
-            let (_, leaf) = io(tree.path_from(tree.root(), req.key));
+            // The record's address is in the leaf the request's own walk
+            // resolved, with no write since: no second root-to-leaf walk.
+            debug_assert_eq!(
+                leaf,
+                {
+                    let tree = &mut self.trees[idx];
+                    io(tree.path_from(tree.root(), req.key)).1
+                },
+                "an update's walk resolved a different leaf than a root walk"
+            );
             if let Descend::Leaf {
                 found: true,
                 value_addr,
@@ -883,6 +910,7 @@ fn run_native_shard(
     // intervenes).
     let mut scouted = 0usize;
     let mut staging_ns = 0u64;
+    let mut slots: Vec<Scout> = Vec::with_capacity(width);
     let t0 = std::time::Instant::now();
     for (n, req) in exp.requests.iter().enumerate() {
         if width > 1 {
@@ -893,9 +921,9 @@ fn run_native_shard(
             // and finds its nodes staged.
             let ts = std::time::Instant::now();
             let window_end = (n + width).min(exp.requests.len());
-            let mut slots: Vec<Scout> = (scouted.max(n + 1)..window_end)
-                .filter_map(|p| run.open_scout(&exp.requests[p]))
-                .collect();
+            slots.extend(
+                (scouted.max(n + 1)..window_end).filter_map(|p| run.open_scout(&exp.requests[p])),
+            );
             scouted = scouted.max(window_end);
             while !slots.is_empty() {
                 slots.retain_mut(|s| run.advance_scout(s));
@@ -904,9 +932,10 @@ fn run_native_shard(
         }
         let mutated = run.run_walk(req);
         if mutated {
-            // The mutation dropped every prefetch stage; whatever was
-            // scouted ahead was built on pre-mutation state. Re-open
-            // the window from post-mutation state next iteration.
+            // The flush kept every staged copy coherent, but the walks
+            // scouted ahead may now route through nodes the mutation
+            // created, which no scout staged. Re-open the window from
+            // post-mutation state next iteration.
             scouted = 0;
         }
         if let Some(p) = &cfg.obs.progress {
@@ -961,6 +990,13 @@ fn run_native_shard(
         native.free_pages += t.free_pages();
         native.page_read_ns += ts.page_read_ns;
         native.decode_ns += ts.decode_ns;
+    }
+    for t in &mut run.trees {
+        debug_assert_eq!(
+            t.check_copies(),
+            Ok(()),
+            "a held copy drifted from its page"
+        );
     }
 
     RunReport {

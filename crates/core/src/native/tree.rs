@@ -13,23 +13,27 @@
 //! backend-equivalence suite and the native fuzz arm guard here is
 //! storage — frames, flush, hot map, stage, tombstones, free list.
 //!
-//! Node contents live in block-file extents; the only per-node state held
-//! in memory is a small placement record (`NodeMeta`). A *hot map*
-//! mirrors the IX-cache's admissions with deserialized nodes so a cache
-//! hit resolves its node pointer without touching the page layer — the
-//! "software fast path" the native backend measures. Nodes merged away
-//! have their extents returned to the free list; their emptied contents
-//! survive as in-memory tombstones so a racing cached pointer resolves
-//! exactly as it does in the simulator (which keeps dead nodes in its
-//! node vector).
+//! Node contents live in block-file extents; per node, memory holds a
+//! small placement record (`NodeMeta`) and one slot of a dense table of
+//! decoded copies. A copy is either **hot** — it mirrors an IX-cache
+//! admission, so a cache hit resolves its node pointer without touching
+//! the page layer (the "software fast path" the native backend measures)
+//! — or **staged**: an MLP scout read it ahead of demand. Reads borrow
+//! a held copy ([`PagedTree::with_node`]) instead of cloning it; only a
+//! cold read decodes, into a node the caller then owns. Nodes merged
+//! away have their extents returned to the free list; their emptied
+//! contents survive as in-memory tombstones so a racing cached pointer
+//! resolves exactly as it does in the simulator (which keeps dead nodes
+//! in its node vector).
 //!
 //! A mutation works on a **frame set**: each node it touches is decoded
 //! once, on first touch, into a frame; `get_mut` marks the frame dirty;
 //! when the operation ends every dirty frame is encoded and written
-//! exactly once (a dead one becomes a tombstone instead) and the set is
-//! dropped. Frames exist only inside `insert_key` / `delete_key` — the
-//! read path never consults them — and an operation that fails before
-//! its flush has written nothing to the block file.
+//! exactly once (a dead one becomes a tombstone instead), the held copy
+//! of each written node is replaced, and the set is dropped. Frames
+//! exist only inside `insert_key` / `delete_key` — the read path never
+//! consults them — and an operation that fails before its flush has
+//! written nothing to the block file.
 
 use super::blockfile::{BlockFile, BlockFileError, Result};
 use super::codec::PagedNode;
@@ -40,11 +44,12 @@ use metal_index::walk::Descend;
 use metal_index::{Arena, NodeId, NodeInfo, WalkIndex};
 use metal_sim::types::{Addr, Key};
 use std::collections::HashMap;
+use std::time::Instant;
 
-/// Capacity of the prefetch stage (decoded nodes scouts read ahead of
-/// demand). Bounds scout memory; overflowing prefetches are dropped,
-/// never evicting — the stage is a hint layer, not a cache with a
-/// policy of its own.
+/// Capacity of the prefetch stage, in decoded nodes scouts read ahead
+/// of demand. A prefetch into a full stage evicts by clock: the hand
+/// sweeps the ring, clearing the reference bit a staged hit set, and
+/// replaces the first node nobody read since the hand last passed it.
 const STAGE_CAP: usize = 4096;
 
 /// Issues a best-effort CPU prefetch hint for the cache line at `p`
@@ -69,14 +74,46 @@ const DIR_VERSION: u32 = 1;
 /// allocated by the mutation in flight and not flushed yet.
 const NO_PAGE: u64 = u64::MAX;
 
+/// Which decoded copy of a node the tree holds in memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Residency {
+    /// None: a read goes to the page layer (or, for a dead node, to its
+    /// tombstone).
+    Cold,
+    /// Mirrors an IX-cache resident; dropped by `retain_hot`.
+    Hot,
+    /// Read ahead of demand by a scout; in the clock ring at `slot`.
+    Staged,
+}
+
 /// In-memory placement record of one node (its arena slot is its id).
 #[derive(Debug, Clone, Copy)]
 struct NodeMeta {
     /// Head page of the node's extent ([`NO_PAGE`] when `dead`).
     page: u64,
     /// True once the node was merged away: its extent is freed and its
-    /// emptied contents live in the tombstone map.
+    /// emptied contents live in the tombstone map. A dead node is never
+    /// held.
     dead: bool,
+    /// Which copy `PagedTree::copies` holds for the node.
+    residency: Residency,
+    /// Clock reference bit of a staged node: set by a staged hit,
+    /// cleared when the hand passes.
+    referenced: bool,
+    /// Position in the stage ring while `Staged`.
+    slot: u32,
+}
+
+impl NodeMeta {
+    fn new(page: u64, dead: bool) -> Self {
+        NodeMeta {
+            page,
+            dead,
+            residency: Residency::Cold,
+            referenced: false,
+            slot: 0,
+        }
+    }
 }
 
 /// One node of the mutation in flight, decoded.
@@ -89,10 +126,13 @@ struct Frame {
     dirty: bool,
 }
 
-/// Page-layer access counters for one tree.
+/// Page-layer access counters for one tree. Every node read — owned
+/// ([`PagedTree::read_node`]) or borrowed ([`PagedTree::with_node`]) —
+/// bumps exactly one of `hot_hits`, `staged_hits` and `cold_reads`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TreeIoStats {
-    /// Node reads served from the hot map (no page touched).
+    /// Node reads served from a hot copy, or from a dead node's
+    /// tombstone (no page touched either way).
     pub hot_hits: u64,
     /// Node reads that deserialized from the page layer.
     pub cold_reads: u64,
@@ -116,8 +156,12 @@ pub struct TreeIoStats {
 /// Nanoseconds elapsed since `t0`, saturating. One clock read — cheap
 /// enough for per-phase scopes, so timers wrap whole page loads and
 /// decodes, never inner loops.
-pub(crate) fn ns_since(t0: std::time::Instant) -> u64 {
-    t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+pub(crate) fn ns_since(t0: Instant) -> u64 {
+    ns_between(t0, Instant::now())
+}
+
+fn ns_between(t0: Instant, t1: Instant) -> u64 {
+    t1.duration_since(t0).as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// A B+tree whose nodes live in page-aligned block-file extents.
@@ -157,12 +201,18 @@ pub struct PagedTree {
     /// First node id allocated past the value heap (persisted so the
     /// arena replay stays exact across reopen).
     mut_boundary: Option<NodeId>,
-    /// Deserialized nodes mirroring current IX-cache residents.
-    hot: HashMap<NodeId, PagedNode>,
-    /// Nodes MLP scouts read ahead of demand ([`STAGE_CAP`]-bounded).
-    /// Cleared wholesale when a mutation flushes — the cheap, obviously
-    /// correct staleness guard (see `native::backend` module docs).
-    stage: HashMap<NodeId, PagedNode>,
+    /// Decoded copies indexed by node id, hot or staged as
+    /// `NodeMeta::residency` says; `None` for a cold node. Boxed, so an
+    /// empty slot costs one word. A flush replaces the copy of every
+    /// node it writes and drops the copy of a node that died, so a copy
+    /// always equals its page.
+    copies: Vec<Option<Box<PagedNode>>>,
+    /// Clock ring of the staged node ids (at most [`STAGE_CAP`]).
+    stage: Vec<NodeId>,
+    /// Clock hand: the ring slot a full stage examines next.
+    hand: usize,
+    /// Page buffer every load reads into, reused across loads.
+    page_buf: Vec<u8>,
     /// Emptied contents of merged-away nodes (extent freed).
     tombstones: HashMap<NodeId, PagedNode>,
     /// The mutation in flight's nodes, in first-touch order (the order
@@ -171,8 +221,10 @@ pub struct PagedTree {
     io: TreeIoStats,
 }
 
-/// A node a walk fetched, with the decoded contents still in hand.
-pub type FetchedNode = (NodeId, NodeInfo, PagedNode);
+/// A node a walk fetched: its id, its info and — when the read was
+/// cold — the decoded contents, now the caller's. A node read from a
+/// held copy comes back without contents; the copy stays where it is.
+pub type FetchedNode = (NodeId, NodeInfo, Option<PagedNode>);
 
 impl PagedTree {
     /// Materializes `tree` into `file`, node by node in id order. The
@@ -205,20 +257,41 @@ impl PagedTree {
             } else {
                 file.store(&node.encode())?
             };
-            meta.push(NodeMeta { page, dead });
+            meta.push(NodeMeta::new(page, dead));
         }
-        Ok(PagedTree {
+        Ok(Self::assemble(
             file,
             meta,
             arena,
             shape,
             mut_boundary,
-            hot: HashMap::new(),
-            stage: HashMap::new(),
+            tombstones,
+        ))
+    }
+
+    /// A tree with nothing held in memory yet.
+    fn assemble(
+        file: BlockFile,
+        meta: Vec<NodeMeta>,
+        arena: Arena,
+        shape: TreeShape,
+        mut_boundary: Option<NodeId>,
+        tombstones: HashMap<NodeId, PagedNode>,
+    ) -> Self {
+        PagedTree {
+            file,
+            copies: vec![None; meta.len()],
+            meta,
+            arena,
+            shape,
+            mut_boundary,
+            stage: Vec::new(),
+            hand: 0,
+            page_buf: Vec::new(),
             tombstones,
             frames: Vec::new(),
             io: TreeIoStats::default(),
-        })
+        }
     }
 
     /// Writes the tree directory (scalars, per-node placements,
@@ -323,7 +396,7 @@ impl PagedTree {
                 arena.skip_to(Addr::new(shape.value_heap_end));
             }
             arena.alloc(bytes);
-            meta.push(NodeMeta { page, dead });
+            meta.push(NodeMeta::new(page, dead));
         }
         let n_tomb = r.u32().map_err(bad)? as usize;
         let mut tombstones = HashMap::new();
@@ -346,18 +419,14 @@ impl PagedTree {
                 tombstones.len()
             )));
         }
-        Ok(PagedTree {
+        Ok(Self::assemble(
             file,
             meta,
             arena,
             shape,
             mut_boundary,
-            hot: HashMap::new(),
-            stage: HashMap::new(),
             tombstones,
-            frames: Vec::new(),
-            io: TreeIoStats::default(),
-        })
+        ))
     }
 
     /// Root node id.
@@ -423,47 +492,112 @@ impl PagedTree {
         self.file
     }
 
-    /// Reads node `id`: from the hot map when the IX-cache keeps it
-    /// resident, from the prefetch stage when an MLP scout read it
-    /// ahead of demand, from its tombstone when merged away, else
-    /// deserialized from the page layer.
+    /// Reads node `id` into a node the caller owns: a clone of its hot
+    /// copy when the IX-cache keeps it resident, of its staged copy when
+    /// an MLP scout read it ahead of demand, of its tombstone when
+    /// merged away, else the node decoded from the page layer (moved
+    /// out, not cloned). [`PagedTree::with_node`] reads without the
+    /// clone.
     pub fn read_node(&mut self, id: NodeId) -> Result<PagedNode> {
-        if let Some(n) = self.hot.get(&id) {
-            self.io.hot_hits += 1;
-            return Ok(n.clone());
+        match self.read(id)? {
+            Some(node) => Ok(node),
+            None => self.resident(id).cloned(),
         }
-        if let Some(n) = self.stage.get(&id) {
-            self.io.staged_hits += 1;
-            return Ok(n.clone());
+    }
+
+    /// Reads node `id` and hands `visit` a borrow of it with the tree's
+    /// arena and shape (what [`Node::info`](PagedNode::info) and
+    /// [`Node::descend`](PagedNode::descend) need). Counts exactly as
+    /// [`PagedTree::read_node`] does; copies nothing.
+    pub fn with_node<R>(
+        &mut self,
+        id: NodeId,
+        visit: impl FnOnce(&PagedNode, &Arena, &TreeShape) -> R,
+    ) -> Result<R> {
+        Ok(self.visit(id, visit)?.0)
+    }
+
+    /// [`PagedTree::with_node`] that also returns the node a cold read
+    /// decoded (`None` when an in-memory copy served the read).
+    fn visit<R>(
+        &mut self,
+        id: NodeId,
+        visit: impl FnOnce(&PagedNode, &Arena, &TreeShape) -> R,
+    ) -> Result<(R, Option<PagedNode>)> {
+        let cold = self.read(id)?;
+        let node = match &cold {
+            Some(node) => node,
+            None => self.resident(id)?,
+        };
+        Ok((visit(node, &self.arena, &self.shape), cold))
+    }
+
+    /// Counts one read of node `id` and decodes it from its page when no
+    /// in-memory copy can serve it; `None` means [`PagedTree::resident`]
+    /// has it (a hot or staged copy, or a tombstone). A staged hit sets
+    /// the node's clock reference bit.
+    fn read(&mut self, id: NodeId) -> Result<Option<PagedNode>> {
+        let m = self.meta_of(id)?;
+        match m.residency {
+            Residency::Hot => self.io.hot_hits += 1,
+            Residency::Staged => {
+                self.io.staged_hits += 1;
+                self.meta[id as usize].referenced = true;
+            }
+            Residency::Cold if m.dead => self.io.hot_hits += 1,
+            Residency::Cold => {
+                let node = self.load_node(id, m.page, false)?;
+                self.io.cold_reads += 1;
+                return Ok(Some(node));
+            }
         }
-        let m = self.meta.get(id as usize).copied().ok_or_else(|| {
+        Ok(None)
+    }
+
+    /// The in-memory contents of node `id`: its held copy, else its
+    /// tombstone.
+    fn resident(&self, id: NodeId) -> Result<&PagedNode> {
+        if let Some(node) = self.copies.get(id as usize).and_then(|c| c.as_deref()) {
+            return Ok(node);
+        }
+        self.tombstones.get(&id).ok_or_else(|| {
+            BlockFileError::new(format!(
+                "{}: node {id} is dead but has no tombstone",
+                self.file.path().display()
+            ))
+        })
+    }
+
+    fn meta_of(&self, id: NodeId) -> Result<NodeMeta> {
+        self.meta.get(id as usize).copied().ok_or_else(|| {
             BlockFileError::new(format!(
                 "node {id} out of range (tree has {})",
                 self.meta.len()
             ))
-        })?;
-        if m.dead {
-            self.io.hot_hits += 1;
-            return self.tombstones.get(&id).cloned().ok_or_else(|| {
-                BlockFileError::new(format!(
-                    "{}: node {id} is dead but has no tombstone",
-                    self.file.path().display()
-                ))
-            });
-        }
-        let t0 = std::time::Instant::now();
-        let payload = self.file.load(m.page)?;
-        self.io.page_read_ns += ns_since(t0);
-        let t0 = std::time::Instant::now();
-        let node = PagedNode::decode(&payload).map_err(|e| {
+        })
+    }
+
+    /// Loads node `id`'s extent at `page` into the reused page buffer
+    /// (one `pread` unless the node outgrows the first KiB) and decodes
+    /// it. `ahead` marks a scout's prefetch. Three clock reads time the
+    /// load and the decode.
+    fn load_node(&mut self, id: NodeId, page: u64, ahead: bool) -> Result<PagedNode> {
+        let t0 = Instant::now();
+        let payload = if ahead {
+            self.file.prefetch(page, &mut self.page_buf)?
+        } else {
+            self.file.load_into(page, &mut self.page_buf)?
+        };
+        let t1 = Instant::now();
+        let node = PagedNode::decode(payload).map_err(|e| {
             BlockFileError::new(format!(
-                "{}: node {id} (page {}): {e}",
+                "{}: {}node {id} (page {page}): {e}",
                 self.file.path().display(),
-                m.page
+                if ahead { "prefetched " } else { "" }
             ))
         })?;
-        self.io.decode_ns += ns_since(t0);
-        self.io.cold_reads += 1;
+        self.io.page_read_ns += ns_between(t0, t1);
+        self.io.decode_ns += ns_since(t1);
         Ok(node)
     }
 
@@ -489,9 +623,9 @@ impl PagedTree {
         self.path_with(from, key, |id, info, _| (id, info))
     }
 
-    /// [`PagedTree::path_from`] that also hands back each node's decoded
-    /// contents, for a caller about to [`PagedTree::admit_hot_node`]
-    /// them.
+    /// [`PagedTree::path_from`] that also hands back the contents of
+    /// each node a cold read decoded, for a caller about to
+    /// [`PagedTree::admit_hot_node`] them.
     pub fn path_nodes_from(
         &mut self,
         from: NodeId,
@@ -505,15 +639,15 @@ impl PagedTree {
         &mut self,
         from: NodeId,
         key: Key,
-        keep: impl Fn(NodeId, NodeInfo, PagedNode) -> T,
+        keep: impl Fn(NodeId, NodeInfo, Option<PagedNode>) -> T,
     ) -> Result<(Vec<T>, Descend)> {
         let mut path = Vec::with_capacity(self.shape.depth as usize);
         let mut id = from;
         loop {
-            let node = self.read_node(id)?;
-            let info = self.info_of(id, &node);
-            let step = self.descend_in(&node, key);
-            path.push(keep(id, info, node));
+            let ((info, step), cold) = self.visit(id, |node, arena, shape| {
+                (node.info(arena, id), node.descend(key, shape))
+            })?;
+            path.push(keep(id, info, cold));
             match step {
                 Descend::Child(c) => id = c,
                 leaf @ Descend::Leaf { .. } => return Ok((path, leaf)),
@@ -522,12 +656,14 @@ impl PagedTree {
     }
 
     /// The extra leaves a range scan visits after landing on `first`.
+    /// Reads `first` once for its right link, then each chained leaf
+    /// once: `hops + 1` node reads for a full chain.
     pub fn scan_chain(&mut self, first: NodeId, hops: u32) -> Result<Vec<(NodeId, NodeInfo)>> {
         self.chain_with(first, hops, |id, info, _| (id, info))
     }
 
-    /// [`PagedTree::scan_chain`] that also hands back each leaf's
-    /// decoded contents (see [`PagedTree::path_nodes_from`]).
+    /// [`PagedTree::scan_chain`] that also hands back the contents of
+    /// each leaf a cold read decoded (see [`PagedTree::path_nodes_from`]).
     pub fn scan_chain_nodes(&mut self, first: NodeId, hops: u32) -> Result<Vec<FetchedNode>> {
         self.chain_with(first, hops, |id, info, node| (id, info, node))
     }
@@ -537,60 +673,94 @@ impl PagedTree {
         &mut self,
         first: NodeId,
         hops: u32,
-        keep: impl Fn(NodeId, NodeInfo, PagedNode) -> T,
+        keep: impl Fn(NodeId, NodeInfo, Option<PagedNode>) -> T,
     ) -> Result<Vec<T>> {
         let mut out = Vec::with_capacity(hops as usize);
-        let mut cur = first;
+        if hops == 0 {
+            return Ok(out);
+        }
+        let mut next = self.with_node(first, |node, _, _| node.next_leaf())?;
         for _ in 0..hops {
-            let node = self.read_node(cur)?;
-            match node.next_leaf() {
-                Some(n) => {
-                    let nn = self.read_node(n)?;
-                    out.push(keep(n, self.info_of(n, &nn), nn));
-                    cur = n;
-                }
-                None => break,
-            }
+            let Some(id) = next else { break };
+            let ((info, after), cold) = self.visit(id, |node, arena, _| {
+                (node.info(arena, id), node.next_leaf())
+            })?;
+            out.push(keep(id, info, cold));
+            next = after;
         }
         Ok(out)
     }
 
-    /// Mirrors the IX-cache's resident set into the hot map: `id` is now
-    /// cached, so keep its deserialized node on the fast path.
+    /// Mirrors the IX-cache's resident set into the hot copies: `id` is
+    /// now cached, so keep its decoded node on the fast path. A staged
+    /// node is retagged hot; a cold one is read (and counted) first. A
+    /// dead node is never held — its tombstone already serves reads.
     pub fn admit_hot(&mut self, id: NodeId) -> Result<()> {
-        if !self.hot.contains_key(&id) {
-            let n = self.read_node(id)?;
-            self.hot.insert(id, n);
+        let m = self.meta_of(id)?;
+        match m.residency {
+            Residency::Hot => {}
+            Residency::Staged => {
+                self.unstage(id);
+                self.meta[id as usize].residency = Residency::Hot;
+            }
+            Residency::Cold if m.dead => {}
+            Residency::Cold => {
+                let node = self.load_node(id, m.page, false)?;
+                self.io.cold_reads += 1;
+                self.hold_hot(id, node);
+            }
         }
         Ok(())
     }
 
-    /// [`PagedTree::admit_hot`] for a caller that still holds the `node`
-    /// a [`PagedTree::read_node`] of `id` returned, with no write to the
-    /// tree since: saves reading and decoding the page a second time.
-    pub fn admit_hot_node(&mut self, id: NodeId, node: PagedNode) {
-        self.hot.entry(id).or_insert(node);
+    /// [`PagedTree::admit_hot`] for a caller that fetched `id` through
+    /// [`PagedTree::path_nodes_from`] or [`PagedTree::scan_chain_nodes`]
+    /// with no write to the tree since: the `node` a cold read handed
+    /// back becomes the hot copy, so the page is not read a second time.
+    pub fn admit_hot_node(&mut self, id: NodeId, node: Option<PagedNode>) -> Result<()> {
+        let m = self.meta_of(id)?;
+        match node {
+            Some(node) if m.residency == Residency::Cold && !m.dead => {
+                self.hold_hot(id, node);
+                Ok(())
+            }
+            _ => self.admit_hot(id),
+        }
     }
 
-    /// Drops hot nodes the IX-cache no longer references.
+    fn hold_hot(&mut self, id: NodeId, node: PagedNode) {
+        self.copies[id as usize] = Some(Box::new(node));
+        self.meta[id as usize].residency = Residency::Hot;
+    }
+
+    /// Drops hot copies the IX-cache no longer references.
     pub fn retain_hot(&mut self, keep: impl Fn(NodeId) -> bool) {
-        self.hot.retain(|&id, _| keep(id));
+        for (id, m) in self.meta.iter_mut().enumerate() {
+            if m.residency == Residency::Hot && !keep(id as NodeId) {
+                m.residency = Residency::Cold;
+                self.copies[id] = None;
+            }
+        }
     }
 
     /// Number of nodes currently on the hot fast path.
     pub fn hot_len(&self) -> usize {
-        self.hot.len()
+        self.meta
+            .iter()
+            .filter(|m| m.residency == Residency::Hot)
+            .count()
     }
 
     /// Reads node `id` ahead of demand on behalf of an MLP scout.
     ///
-    /// Already-decoded nodes (hot map, stage, tombstones) get a CPU
+    /// Already-decoded nodes (hot, staged, tombstones) get a CPU
     /// prefetch hint on their in-memory contents; everything else is
     /// read through [`BlockFile::prefetch`], decoded once, and staged
-    /// so the demand read that follows is page-free. The stage is
-    /// capacity-bounded (`STAGE_CAP`, 4096 nodes); overflowing prefetches are
-    /// dropped silently. Prefetching is a pure performance hint: it
-    /// never changes what any later [`PagedTree::read_node`] returns.
+    /// so the demand read that follows is page-free. The stage holds
+    /// at most `STAGE_CAP` (4096) nodes; a prefetch into a full stage
+    /// evicts the clock's victim. Prefetching is a pure performance
+    /// hint: it never changes what any later [`PagedTree::read_node`]
+    /// returns.
     ///
     /// # Example
     ///
@@ -609,64 +779,146 @@ impl PagedTree {
     /// assert_eq!(after.cold_reads, before.cold_reads, "no demand page read");
     /// ```
     pub fn prefetch_node(&mut self, id: NodeId) -> Result<()> {
-        if let Some(n) = self.hot.get(&id) {
-            prefetch_hint(n as *const PagedNode);
+        let m = self.meta_of(id)?;
+        if m.residency != Residency::Cold || m.dead {
+            if let Some(node) = self.peek_node(id) {
+                prefetch_hint(node as *const PagedNode);
+            }
             return Ok(());
         }
-        if let Some(n) = self.stage.get(&id) {
-            prefetch_hint(n as *const PagedNode);
-            return Ok(());
-        }
-        if let Some(n) = self.tombstones.get(&id) {
-            prefetch_hint(n as *const PagedNode);
-            return Ok(());
-        }
-        if self.stage.len() >= STAGE_CAP {
-            return Ok(());
-        }
-        let m = self.meta.get(id as usize).copied().ok_or_else(|| {
-            BlockFileError::new(format!(
-                "prefetch of node {id} out of range (tree has {})",
-                self.meta.len()
-            ))
-        })?;
-        let t0 = std::time::Instant::now();
-        let payload = self.file.prefetch(m.page)?;
-        self.io.page_read_ns += ns_since(t0);
-        let t0 = std::time::Instant::now();
-        let node = PagedNode::decode(&payload).map_err(|e| {
-            BlockFileError::new(format!(
-                "{}: prefetched node {id} (page {}): {e}",
-                self.file.path().display(),
-                m.page
-            ))
-        })?;
-        self.io.decode_ns += ns_since(t0);
+        let node = self.load_node(id, m.page, true)?;
         self.io.prefetched += 1;
-        self.stage.insert(id, node);
+        self.stage_node(id, node);
         Ok(())
     }
 
-    /// Contents of node `id` if resident on a zero-I/O path (hot map,
-    /// prefetch stage or tombstone), else `None`. Scouts descend
-    /// through this so their speculative walk touches no page and
-    /// bumps no demand counter.
+    /// Puts the cold node `id` on the stage, evicting the clock's victim
+    /// when the stage is full (its box is reused for the newcomer).
+    fn stage_node(&mut self, id: NodeId, node: PagedNode) {
+        let slot = if self.stage.len() < STAGE_CAP {
+            self.copies[id as usize] = Some(Box::new(node));
+            self.stage.push(id);
+            self.stage.len() - 1
+        } else {
+            let slot = loop {
+                let at = self.hand;
+                self.hand = (at + 1) % self.stage.len();
+                let victim = &mut self.meta[self.stage[at] as usize];
+                if victim.referenced {
+                    victim.referenced = false;
+                } else {
+                    victim.residency = Residency::Cold;
+                    break at;
+                }
+            };
+            let copy = match self.copies[self.stage[slot] as usize].take() {
+                Some(mut copy) => {
+                    *copy = node;
+                    copy
+                }
+                None => Box::new(node),
+            };
+            self.copies[id as usize] = Some(copy);
+            self.stage[slot] = id;
+            slot
+        };
+        let m = &mut self.meta[id as usize];
+        m.residency = Residency::Staged;
+        m.referenced = false;
+        m.slot = slot as u32;
+    }
+
+    /// Takes the staged node `id` out of the clock ring (its copy stays
+    /// in the table; the caller retags or drops it).
+    fn unstage(&mut self, id: NodeId) {
+        let slot = self.meta[id as usize].slot as usize;
+        self.stage.swap_remove(slot);
+        if let Some(&moved) = self.stage.get(slot) {
+            self.meta[moved as usize].slot = slot as u32;
+        }
+    }
+
+    /// Drops whatever copy of node `id` is held.
+    fn drop_copy(&mut self, id: NodeId) {
+        if self.meta[id as usize].residency == Residency::Staged {
+            self.unstage(id);
+        }
+        self.meta[id as usize].residency = Residency::Cold;
+        self.copies[id as usize] = None;
+    }
+
+    /// Contents of node `id` if resident on a zero-I/O path (hot,
+    /// staged or tombstone), else `None`. Scouts descend through this
+    /// so their speculative walk touches no page, bumps no demand
+    /// counter and sets no reference bit.
     pub fn peek_node(&self, id: NodeId) -> Option<&PagedNode> {
-        self.hot
-            .get(&id)
-            .or_else(|| self.stage.get(&id))
+        self.copies
+            .get(id as usize)
+            .and_then(|c| c.as_deref())
             .or_else(|| self.tombstones.get(&id))
     }
 
-    /// Drops every staged prefetch (mutations do this implicitly; the
-    /// backend also calls it when a shard's scout window resets).
+    /// Drops every staged prefetch.
     pub fn clear_stage(&mut self) {
-        self.stage.clear();
+        for id in self.stage.drain(..) {
+            self.meta[id as usize].residency = Residency::Cold;
+            self.copies[id as usize] = None;
+        }
+        self.hand = 0;
     }
 
     /// Number of nodes currently staged by prefetches.
     pub fn staged_len(&self) -> usize {
         self.stage.len()
+    }
+
+    /// Checks every held copy against the page layer: a hot or staged
+    /// copy encodes to exactly the payload of its node's current extent
+    /// (the codec round-trips, so this is node equality), no dead node
+    /// is held, and the clock ring and the residency tags agree. The
+    /// check's page loads count in [`PagedTree::file_stats`], not as
+    /// node reads.
+    pub fn check_copies(&mut self) -> std::result::Result<(), String> {
+        let mut staged = 0;
+        for id in 0..self.meta.len() {
+            let m = self.meta[id];
+            let Some(copy) = self.copies[id].as_deref() else {
+                if m.residency != Residency::Cold {
+                    return Err(format!("node {id}: {:?} but no copy held", m.residency));
+                }
+                continue;
+            };
+            match m.residency {
+                Residency::Cold => return Err(format!("node {id}: a copy is held untagged")),
+                Residency::Hot => {}
+                Residency::Staged => {
+                    staged += 1;
+                    if self.stage.get(m.slot as usize) != Some(&(id as NodeId)) {
+                        return Err(format!("node {id}: not in stage slot {}", m.slot));
+                    }
+                }
+            }
+            if m.dead {
+                return Err(format!("node {id}: dead but held ({:?})", m.residency));
+            }
+            let page = self
+                .file
+                .load_into(m.page, &mut self.page_buf)
+                .map_err(|e| format!("node {id}: {e}"))?;
+            if page != copy.encode() {
+                return Err(format!(
+                    "node {id}: {:?} copy differs from page {}",
+                    m.residency, m.page
+                ));
+            }
+        }
+        if staged != self.stage.len() {
+            return Err(format!(
+                "{staged} staged nodes but {} ring slots",
+                self.stage.len()
+            ));
+        }
+        Ok(())
     }
 
     /// Inserts `key`, splitting overflowing nodes up the walk path:
@@ -703,39 +955,38 @@ impl PagedTree {
     /// Ends a mutation: every dirty frame is written once, in first-touch
     /// order — a node that outgrew its extent relocates, a new node gets
     /// its first extent, a dead one gives its extent back and becomes a
-    /// tombstone — and resident hot copies are replaced. Any write
-    /// invalidates the prefetch stage wholesale: staged nodes were
-    /// decoded pre-mutation and must never shadow the page layer's
-    /// current contents. (The hot map is updated in place instead — it
-    /// mirrors cache residency, not a hint.)
+    /// tombstone. Invalidation is per node: the held copy (hot or
+    /// staged) of each node written is replaced by what was written, a
+    /// dead node's copy is dropped before it becomes a tombstone, and
+    /// every other copy stays — nothing else changed under it. New
+    /// nodes are never held, so no copy ever shadows the page layer.
     fn flush(&mut self) -> Result<()> {
-        if self.frames.iter().any(|f| f.dirty) {
-            self.stage.clear();
+        let mut frames = std::mem::take(&mut self.frames);
+        let written = frames.drain(..).try_for_each(|f| self.write_frame(f));
+        self.frames = frames;
+        written
+    }
+
+    fn write_frame(&mut self, Frame { id, node, dirty }: Frame) -> Result<()> {
+        if !dirty {
+            return Ok(());
         }
-        for Frame { id, node, dirty } in self.frames.drain(..) {
-            if !dirty {
-                continue;
-            }
-            let m = &mut self.meta[id as usize];
-            if node.dead {
-                self.file.free_extent(m.page)?;
-                *m = NodeMeta {
-                    page: NO_PAGE,
-                    dead: true,
-                };
-                self.hot.remove(&id);
-                self.tombstones.insert(id, node);
-                continue;
-            }
-            let bytes = node.encode();
-            m.page = match m.page {
-                NO_PAGE => self.file.store(&bytes)?,
-                page => self.file.update(page, &bytes)?,
-            };
-            self.io.node_writes += 1;
-            if let Some(hot) = self.hot.get_mut(&id) {
-                *hot = node;
-            }
+        let page = self.meta[id as usize].page;
+        if node.dead {
+            self.file.free_extent(page)?;
+            self.drop_copy(id);
+            self.meta[id as usize] = NodeMeta::new(NO_PAGE, true);
+            self.tombstones.insert(id, node);
+            return Ok(());
+        }
+        let bytes = node.encode();
+        self.meta[id as usize].page = match page {
+            NO_PAGE => self.file.store(&bytes)?,
+            page => self.file.update(page, &bytes)?,
+        };
+        self.io.node_writes += 1;
+        if let Some(copy) = self.copies[id as usize].as_deref_mut() {
+            *copy = node;
         }
         Ok(())
     }
@@ -784,10 +1035,8 @@ impl NodeStore for PagedTree {
         }
         let slot = self.arena.alloc(node.model_bytes());
         debug_assert_eq!(slot, id as usize, "slot == id invariant");
-        self.meta.push(NodeMeta {
-            page: NO_PAGE,
-            dead: false,
-        });
+        self.meta.push(NodeMeta::new(NO_PAGE, false));
+        self.copies.push(None);
         self.frames.push(Frame {
             id,
             node,
@@ -965,41 +1214,199 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_stages_cold_nodes_and_mutations_clear_the_stage() {
-        let ks = keys(300, 2);
-        let sim = BPlusTree::bulk_load(&ks, 8, Addr::new(0), 16);
+    fn prefetch_stages_cold_nodes_and_writes_keep_every_copy_coherent() {
+        // Depth 6: three keys per leaf, two children per interior node.
+        let ks = keys(96, 4);
+        let sim = BPlusTree::bulk_load_geometry(&ks, 3, 2, Addr::new(0), 16);
         let mut paged = materialize_tree(&sim).unwrap();
+        assert!(paged.depth() >= 6);
         let root = paged.root();
 
-        // Cold prefetch: pays the page read once, stages the node.
+        // Cold prefetch: pays the page read once, stages the node; the
+        // demand read is then page-free and counted as a staged hit.
         paged.prefetch_node(root).unwrap();
-        assert_eq!(paged.staged_len(), 1);
-        assert_eq!(paged.io_stats().prefetched, 1);
-        assert!(
-            paged.peek_node(root).is_some(),
-            "scout can descend through it"
-        );
-
-        // The demand read is then page-free and counted as a staged hit.
-        let fs_before = paged.file_stats();
+        assert_eq!((paged.staged_len(), paged.io_stats().prefetched), (1, 1));
+        assert!(paged.peek_node(root).is_some(), "scouts descend through it");
+        let pages_read = paged.file_stats().pages_read;
         let _ = paged.read_node(root).unwrap();
         assert_eq!(paged.io_stats().staged_hits, 1);
         assert_eq!(paged.io_stats().cold_reads, 0);
-        assert_eq!(paged.file_stats().pages_read, fs_before.pages_read);
-
-        // Re-prefetching a staged (or hot) node is free: hint only.
+        assert_eq!(paged.file_stats().pages_read, pages_read);
+        // Re-prefetching a held node is free: hint only.
         paged.prefetch_node(root).unwrap();
         assert_eq!(paged.io_stats().prefetched, 1);
 
-        // Any applied mutation drops the whole stage — staleness guard.
-        assert!(paged.insert_key(1).unwrap().applied);
-        assert_eq!(paged.staged_len(), 0, "mutation cleared the stage");
-        assert!(paged.peek_node(root).is_none());
+        // Stage every node, then make part of the tree hot.
+        for id in 0..paged.node_count() as NodeId {
+            paged.prefetch_node(id).unwrap();
+        }
+        for &k in ks.iter().step_by(10) {
+            let (path, _) = paged.path_from(root, k).unwrap();
+            for (id, _) in path {
+                paged.admit_hot(id).unwrap();
+            }
+        }
+        assert!(paged.hot_len() > 0 && paged.staged_len() > 0);
+        assert_eq!(paged.check_copies(), Ok(()));
 
-        // And a prefetch after the mutation sees the new contents.
-        paged.prefetch_node(root).unwrap();
-        let n = paged.read_node(root).unwrap();
-        assert_eq!(paged.info_of(root, &n).lo, 0);
+        let mut rng = SplitRng::stream(23, 0x57a6e);
+        let (mut applied, mut noops) = (0, 0);
+        for op in 0..2000 {
+            let before = (paged.stage.clone(), paged.hot_len(), paged.tombstones.len());
+            let key = rng.gen_range(0u64..96 * 4 + 8);
+            let rep = if rng.gen_range(0u64..2) == 0 {
+                paged.insert_key(key).unwrap()
+            } else {
+                paged.delete_key(key).unwrap()
+            };
+            if rep.applied {
+                if applied == 0 {
+                    // Only the copies of nodes that died may go.
+                    let died = paged.tombstones.len() - before.2;
+                    assert!(
+                        paged.staged_len() + died >= before.0.len(),
+                        "the first write emptied the stage: {} of {} staged",
+                        paged.staged_len(),
+                        before.0.len()
+                    );
+                }
+                applied += 1;
+            } else {
+                noops += 1;
+                assert_eq!(paged.stage, before.0, "op {op}: a no-op touched the stage");
+                assert_eq!(
+                    paged.hot_len(),
+                    before.1,
+                    "op {op}: a no-op touched the hot copies"
+                );
+            }
+            if let Err(e) = paged.check_copies() {
+                panic!("op {op} (key {key}): {e}");
+            }
+            // Keep both kinds of copy in play as the tree changes.
+            if op % 25 == 0 {
+                let k = rng.gen_range(0u64..96 * 4);
+                let (path, _) = paged.path_from(paged.root(), k).unwrap();
+                for (i, (id, _)) in path.into_iter().enumerate() {
+                    if i % 2 == 0 {
+                        paged.admit_hot(id).unwrap();
+                    } else {
+                        paged.prefetch_node(id).unwrap();
+                    }
+                }
+            }
+        }
+        assert!(
+            applied > 500 && noops > 100,
+            "{applied} applied, {noops} no-ops"
+        );
+        assert!(
+            paged.staged_len() > 0,
+            "writes never empty the stage wholesale"
+        );
+    }
+
+    #[test]
+    fn a_full_stage_evicts_by_clock() {
+        let sim = BPlusTree::bulk_load(&keys(36_000, 2), 4, Addr::new(0), 16);
+        let mut paged = materialize_tree(&sim).unwrap();
+        let ids: Vec<NodeId> = (0..paged.node_count() as NodeId).collect();
+        assert!(ids.len() > 2 * STAGE_CAP, "{} nodes", ids.len());
+        let (first, rest) = ids.split_at(STAGE_CAP);
+        for &id in first {
+            paged.prefetch_node(id).unwrap();
+        }
+        assert_eq!(paged.staged_len(), STAGE_CAP);
+        let staged =
+            |pt: &PagedTree, id: NodeId| pt.meta[id as usize].residency == Residency::Staged;
+
+        // A hit between sweeps buys one full sweep.
+        let kept = first[STAGE_CAP / 2];
+        let _ = paged.read_node(kept).unwrap();
+        for &id in &rest[..STAGE_CAP - 1] {
+            paged.prefetch_node(id).unwrap();
+        }
+        assert_eq!(
+            paged.staged_len(),
+            STAGE_CAP,
+            "a full stage evicts, never drops"
+        );
+        assert!(
+            staged(&paged, kept),
+            "the referenced node survived the sweep"
+        );
+        assert!(
+            first.iter().all(|&id| id == kept || !staged(&paged, id)),
+            "every unreferenced node of the first fill was evicted"
+        );
+        // Without another hit it does not survive the next one.
+        for &id in first
+            .iter()
+            .filter(|&&id| id != kept)
+            .chain(&rest[STAGE_CAP - 1..STAGE_CAP])
+        {
+            paged.prefetch_node(id).unwrap();
+        }
+        assert_eq!(paged.staged_len(), STAGE_CAP);
+        assert!(!staged(&paged, kept), "an unreferenced node is evicted");
+        assert_eq!(paged.io_stats().prefetched, 3 * STAGE_CAP as u64 - 1);
+        assert_eq!(paged.check_copies(), Ok(()));
+
+        paged.clear_stage();
+        assert_eq!(paged.staged_len(), 0);
+        assert!(ids.iter().all(|&id| paged.peek_node(id).is_none()));
+        assert_eq!(paged.check_copies(), Ok(()));
+    }
+
+    #[test]
+    fn a_scan_chain_reads_each_leaf_once() {
+        let sim = BPlusTree::bulk_load(&keys(400, 2), 4, Addr::new(0), 16);
+        let mut paged = materialize_tree(&sim).unwrap();
+        let first = paged
+            .path_from(paged.root(), 0)
+            .unwrap()
+            .0
+            .last()
+            .unwrap()
+            .0;
+        for hops in [1u32, 5, 12] {
+            let before = reads(&paged);
+            let chain = paged.scan_chain(first, hops).unwrap();
+            assert_eq!(chain.len(), hops as usize);
+            assert_eq!(reads(&paged) - before, u64::from(hops) + 1, "{hops} hops");
+        }
+        // Mixed residency: the count is the same, and only cold leaves
+        // come back with their contents.
+        let chain = paged.scan_chain(first, 12).unwrap();
+        paged.admit_hot(chain[2].0).unwrap();
+        paged.prefetch_node(chain[5].0).unwrap();
+        let (io, before) = (paged.io_stats(), reads(&paged));
+        let fetched = paged.scan_chain_nodes(first, 12).unwrap();
+        assert_eq!(reads(&paged) - before, 13);
+        let now = paged.io_stats();
+        assert_eq!(
+            (now.hot_hits - io.hot_hits, now.staged_hits - io.staged_hits),
+            (1, 1)
+        );
+        for (i, (_, _, node)) in fetched.iter().enumerate() {
+            assert_eq!(node.is_none(), i == 2 || i == 5, "leaf {i}");
+        }
+        // Borrowed and owned reads each count once.
+        let before = reads(&paged);
+        paged.with_node(first, |_, _, _| ()).unwrap();
+        let _ = paged.read_node(first).unwrap();
+        assert_eq!(reads(&paged) - before, 2);
+        // A chain that ends early stops reading.
+        let last = paged
+            .path_from(paged.root(), 798)
+            .unwrap()
+            .0
+            .last()
+            .unwrap()
+            .0;
+        let before = reads(&paged);
+        assert!(paged.scan_chain(last, 4).unwrap().is_empty());
+        assert_eq!(reads(&paged) - before, 1);
     }
 
     #[test]
@@ -1049,8 +1456,9 @@ mod tests {
         assert_eq!(walked, 2 * plain.len() as u64, "nothing was hot yet");
         for ((id, info, node), &(plain_id, plain_info)) in fetched.into_iter().zip(&plain) {
             assert_eq!((id, info), (plain_id, plain_info));
+            let node = node.expect("a cold read hands its node back");
             assert_eq!(node.encode(), paged.read_node(id).unwrap().encode());
-            paged.admit_hot_node(id, node);
+            paged.admit_hot_node(id, Some(node)).unwrap();
         }
         let admitted = paged.io_stats();
         assert_eq!(admitted.cold_reads, walked + plain.len() as u64);
@@ -1067,8 +1475,12 @@ mod tests {
         assert_eq!(chain.len(), 3);
         for ((id, info, node), &(plain_id, plain_info)) in with_nodes.into_iter().zip(&chain) {
             assert_eq!((id, info), (plain_id, plain_info));
+            let node = node.expect("chained leaves are cold");
             assert_eq!(node.encode(), paged.read_node(id).unwrap().encode());
         }
+        // A held node comes back without contents: the copy stays put.
+        let (fetched, _) = paged.path_nodes_from(root, key).unwrap();
+        assert!(fetched.iter().all(|(_, _, node)| node.is_none()));
     }
 
     /// `read_node` calls so far: each one bumps exactly one of these.
