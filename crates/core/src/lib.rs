@@ -16,7 +16,9 @@
 //!
 //! The crate also contains the paper's comparison baselines as walk models
 //! ([`models`]) and a runner ([`runner`]) that executes one request stream
-//! under every design with identical DRAM/tile models.
+//! under every design with identical DRAM/tile models. The per-walk cache
+//! decisions live once, in `decide`, shared by the simulated and the
+//! native ([`native`]) backend.
 //!
 //! ## Quickstart
 //!
@@ -41,6 +43,7 @@
 
 #![warn(missing_docs)]
 
+pub(crate) mod decide;
 pub mod descriptor;
 pub mod energy;
 pub mod ixcache;

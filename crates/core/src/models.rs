@@ -21,24 +21,27 @@
 //! produce is a legal serialization) and emits the resulting sequence of
 //! timed [`WalkStep`]s — DRAM refills, SRAM hits, node searches, compute —
 //! which the `metal-sim` engine then executes with full lane-level
-//! memory parallelism and DRAM contention.
+//! memory parallelism and DRAM contention. The streaming and METAL
+//! designs plan through the cache-decision kernel (`crate::decide`),
+//! the same code the native executor runs.
 
-use crate::descriptor::{Admit, AdmitCtx, Descriptor};
-use crate::ixcache::{CoalesceRecord, EvictRecord, FillRecord, IxCache, IxConfig};
+use crate::decide::{self, id_info, CostSink, MetalState, NodeSource, Obs};
+use crate::descriptor::Descriptor;
+use crate::ixcache::{IxCache, IxConfig};
 use crate::metrics::WindowedWorkingSet;
-use crate::range::KeyRange;
 use crate::request::{OpKind, WalkRequest};
-use crate::tuner::{TuneDecision, Tuner};
+use crate::tuner::Tuner;
 use metal_index::arena::NodeId;
 use metal_index::bptree::{BPlusTree, MutationReport};
 use metal_index::walk::{Descend, NodeInfo, WalkIndex};
 use metal_sim::caches::{AddressCache, KeyCache, OptCache};
 use metal_sim::engine::{WalkProgram, WalkStep};
-use metal_sim::obs::{emit_to, Event, SharedSink, NO_ENTRY};
+use metal_sim::obs::SharedSink;
 use metal_sim::stats::RunStats;
-use metal_sim::types::{blocks_spanned, Cycles, Key};
+use metal_sim::types::{blocks_spanned, Addr, BlockAddr, Cycles, Key};
 use metal_sim::SimConfig;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -160,16 +163,7 @@ enum CacheState {
         hits: Vec<Vec<bool>>,
     },
     XCache(KeyCache),
-    Metal {
-        /// One shared cache (len 1) or one private cache per lane.
-        caches: Vec<IxCache>,
-        descriptors: Vec<Descriptor>,
-        tuners: Option<Vec<Tuner>>,
-        /// Tile-local scratchpad staging leaf data objects (§3: "a local
-        /// scratchpad for staging the leaf data objects and capturing
-        /// immediate reuse of fields within the object").
-        scratch: AddressCache,
-    },
+    Metal(MetalState),
 }
 
 /// The walk model: owns the cache under test, all statistics, and the
@@ -197,6 +191,379 @@ pub struct DesignModel<'a> {
     now: u64,
     /// Optional cross-thread walk counter for heartbeat reporting.
     progress: Option<Arc<AtomicU64>>,
+    /// METAL's tile-local scratchpad (§3: "a local scratchpad for staging
+    /// the leaf data objects and capturing immediate reuse of fields
+    /// within the object"); METAL designs only.
+    scratch: Option<AddressCache>,
+}
+
+/// Unwraps the result of a simulator walk, which cannot fail.
+fn ok<T>(r: Result<T, Infallible>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => match e {},
+    }
+}
+
+/// The simulator's node source: one index as walks traverse it — the
+/// model-private mutable clone when the run has writes, else the
+/// experiment's shared read-only index.
+enum SimNodes<'b> {
+    Own(&'b mut BPlusTree),
+    Shared(&'b dyn WalkIndex),
+}
+
+impl<'b> SimNodes<'b> {
+    fn new(own: &'b mut [Option<BPlusTree>], exp: &'b Experiment<'b>, idx: usize) -> Self {
+        match own.get_mut(idx).and_then(Option::as_mut) {
+            Some(tree) => SimNodes::Own(tree),
+            None => SimNodes::Shared(exp.indexes[idx]),
+        }
+    }
+
+    fn index(&self) -> &dyn WalkIndex {
+        match self {
+            SimNodes::Own(tree) => &**tree,
+            SimNodes::Shared(index) => *index,
+        }
+    }
+}
+
+impl NodeSource for SimNodes<'_> {
+    type Held = ();
+    type Error = Infallible;
+
+    fn root(&self) -> NodeId {
+        self.index().root()
+    }
+
+    fn depth(&self) -> u8 {
+        self.index().depth()
+    }
+
+    fn node_bytes(&self, id: NodeId) -> u64 {
+        self.index().node(id).bytes
+    }
+
+    fn access(&self, id: NodeId, _info: &NodeInfo, key: Key) -> (Addr, u64) {
+        self.index().access_for(id, key)
+    }
+
+    fn descend(&mut self, id: NodeId, key: Key) -> Result<Descend, Infallible> {
+        Ok(self.index().descend(id, key))
+    }
+
+    fn path_from<T>(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        keep: impl Fn(NodeId, NodeInfo, ()) -> T,
+    ) -> Result<(Vec<T>, Descend), Infallible> {
+        let index = self.index();
+        let mut path = Vec::with_capacity(index.depth() as usize);
+        let mut id = from;
+        loop {
+            path.push(keep(id, index.node(id), ()));
+            match index.descend(id, key) {
+                Descend::Child(c) => id = c,
+                leaf @ Descend::Leaf { .. } => return Ok((path, leaf)),
+            }
+        }
+    }
+
+    fn scan_chain<T>(
+        &mut self,
+        first: NodeId,
+        hops: u32,
+        keep: impl Fn(NodeId, NodeInfo, ()) -> T,
+    ) -> Result<Vec<T>, Infallible> {
+        let index = self.index();
+        let mut out = Vec::with_capacity(hops as usize);
+        let mut cur = first;
+        for _ in 0..hops {
+            let Some(n) = index.next_leaf(cur) else { break };
+            out.push(keep(n, index.node(n), ()));
+            cur = n;
+        }
+        Ok(out)
+    }
+
+    fn mutate(&mut self, req: &WalkRequest) -> Result<Option<MutationReport>, Infallible> {
+        Ok(match self {
+            SimNodes::Own(tree) => Some(DesignModel::apply_write_op(tree, req)),
+            SimNodes::Shared(_) => None,
+        })
+    }
+}
+
+/// The simulator's cost sink: plans a walk's timed steps and charges its
+/// energy and working-set touches.
+struct SimCost<'m> {
+    steps: &'m mut VecDeque<WalkStep>,
+    stats: &'m mut RunStats,
+    ws: &'m mut WindowedWorkingSet,
+    cfg: &'m SimConfig,
+    /// The model's scratchpad (METAL designs); `None` streams records
+    /// from DRAM.
+    scratch: Option<&'m mut AddressCache>,
+}
+
+/// Where a unified-cache design's block probes are answered.
+enum Unified<'c> {
+    /// The set-associative LRU address cache, probed online.
+    Lru(&'c mut AddressCache),
+    /// FA-OPT's offline Belady decisions for this request, in trace order.
+    Opt(std::vec::IntoIter<bool>),
+}
+
+impl SimCost<'_> {
+    /// One node search by the walker FSM.
+    fn search(&mut self) {
+        self.steps.push_back(WalkStep::Busy {
+            cycles: self.cfg.node_search_latency,
+        });
+        self.stats.walker_energy_fj = self
+            .stats
+            .walker_energy_fj
+            .saturating_add(self.cfg.energy.walker_fj);
+    }
+
+    fn charge(&mut self, fj: u64) {
+        self.stats.cache_energy_fj = self.stats.cache_energy_fj.saturating_add(fj);
+    }
+
+    /// Fetches every node of `nodes` from DRAM, each searched for `key`
+    /// (else for its own low key).
+    fn fetch_all(&mut self, src: &SimNodes<'_>, nodes: &[(NodeId, NodeInfo)], key: Option<Key>) {
+        for (id, info) in nodes {
+            let (addr, bytes) = src.access(*id, info, key.unwrap_or(info.lo));
+            self.fetched(addr, bytes);
+        }
+    }
+
+    /// `ops` of post-walk compute on the tile.
+    fn compute(&mut self, ops: u64) {
+        if ops > 0 {
+            let cycles = ops.div_ceil(self.cfg.tile_ops_per_cycle);
+            self.steps.push_back(WalkStep::Busy {
+                cycles: Cycles::new(cycles),
+            });
+            self.stats.compute_ops += ops;
+            self.stats.compute_energy_fj = self
+                .stats
+                .compute_energy_fj
+                .saturating_add(ops.saturating_mul(self.cfg.energy.op_fj));
+        }
+    }
+
+    /// A walk through a unified (MAD/Widx-style) cache: root to leaf and
+    /// along the scan chain with every node's blocks probed, then the
+    /// record. Data objects allocate in the unified cache too and compete
+    /// with index blocks; METAL's headline is decoupling index-metadata
+    /// reuse from data reuse, so only these designs do this.
+    fn unified_walk(
+        &mut self,
+        src: &mut SimNodes<'_>,
+        mut cache: Unified<'_>,
+        req: &WalkRequest,
+    ) -> Descend {
+        let (path, leaf) = ok(src.path_from(src.root(), req.key, id_info));
+        let chain = ok(src.scan_chain(path[path.len() - 1].0, req.scan_leaves, id_info));
+        for (n, (id, info)) in path.iter().chain(&chain).enumerate() {
+            // FA-OPT probes the blocks its offline trace recorded.
+            let key = match (&cache, n < path.len()) {
+                (Unified::Opt(_), _) => req.key.max(info.lo),
+                (Unified::Lru(_), true) => req.key,
+                (Unified::Lru(_), false) => info.lo,
+            };
+            let (addr, bytes) = src.access(*id, info, key);
+            self.unified_node(&mut cache, addr, bytes);
+        }
+        if matches!(leaf, Descend::Leaf { found: true, .. }) {
+            self.stats.found_walks += 1;
+        }
+        if let Some((addr, bytes)) = decide::record(&leaf) {
+            self.steps.push_back(WalkStep::Sram {
+                cycles: self.cfg.hierarchy_hit_latency,
+            });
+            if !self.unified_probe(&mut cache, addr.block()) {
+                self.stats.misses += 1;
+                self.stats.inserts += 1;
+                self.steps.push_back(WalkStep::Dram { addr, bytes });
+            }
+        }
+        leaf
+    }
+
+    /// One unified-cache probe of `block`.
+    fn unified_probe(&mut self, cache: &mut Unified<'_>, block: BlockAddr) -> bool {
+        self.stats.probes += 1;
+        self.charge(self.cfg.energy.addr_access_fj);
+        match cache {
+            Unified::Lru(c) => c.access(block),
+            Unified::Opt(decisions) => decisions.next().unwrap_or(false),
+        }
+    }
+
+    /// Unified-cache node access: a multi-block node probes the cache per
+    /// spanned block; missing blocks are fetched individually (they
+    /// pipeline across DRAM banks).
+    fn unified_node(&mut self, cache: &mut Unified<'_>, addr: Addr, bytes: u64) {
+        // MAD/Widx walk through the general cache hierarchy: every block
+        // touch pays the hierarchy traversal, hit or miss.
+        let lat = self.cfg.hierarchy_hit_latency;
+        let n_blocks = blocks_spanned(addr, bytes).max(1);
+        let mut any_miss = false;
+        // Consecutive missing blocks coalesce into one burst (the miss
+        // handler fetches the gap with a single DRAM transaction train).
+        let mut run_start: Option<u64> = None;
+        let mut run_len = 0u64;
+        for i in 0..=n_blocks {
+            let block = Addr::new(addr.get() + i * 64);
+            let missing = i < n_blocks && {
+                if self.unified_probe(cache, block.block()) {
+                    self.steps.push_back(WalkStep::Sram { cycles: lat });
+                    false
+                } else {
+                    any_miss = true;
+                    self.stats.misses += 1;
+                    self.stats.inserts += 1;
+                    self.ws.touch(block.block());
+                    true
+                }
+            };
+            if missing {
+                if run_start.is_none() {
+                    run_start = Some(block.get());
+                    self.steps.push_back(WalkStep::Sram { cycles: lat });
+                }
+                run_len += 1;
+            } else if let Some(start) = run_start.take() {
+                self.steps.push_back(WalkStep::Dram {
+                    addr: Addr::new(start),
+                    bytes: run_len * 64,
+                });
+                run_len = 0;
+            }
+        }
+        if any_miss {
+            self.stats.dram_node_reads += 1;
+        }
+        self.search();
+    }
+
+    /// An X-Cache walk: an exact-key hit short-circuits the entire walk
+    /// (data on the fast path); a miss walks root to leaf uncached and
+    /// inserts the leaf. Returns the leaf the walk resolved, which a hit
+    /// has none of (a write then takes the one a root walk reaches, with
+    /// no modeled step).
+    fn xcache_walk(
+        &mut self,
+        src: &mut SimNodes<'_>,
+        c: &mut KeyCache,
+        req: &WalkRequest,
+    ) -> Option<Descend> {
+        let addr_fj = self.cfg.energy.addr_access_fj;
+        let probe = c.probe(req.key);
+        self.stats.probes += 1;
+        self.charge(addr_fj);
+        if let Some(leaf_token) = probe {
+            // Only found keys are ever inserted, so a hit is a find.
+            self.steps.push_back(WalkStep::Sram {
+                cycles: self.cfg.addr_hit_latency(),
+            });
+            self.stats.found_walks += 1;
+            self.stats.levels_skipped += src.depth() as u64;
+            // Range scans continue from the cached leaf.
+            let chain = ok(src.scan_chain(leaf_token as NodeId, req.scan_leaves, id_info));
+            self.fetch_all(src, &chain, None);
+            return req
+                .op
+                .is_write()
+                .then(|| ok(src.path_from(src.root(), req.key, id_info)).1);
+        }
+        self.steps.push_back(WalkStep::Sram {
+            cycles: self.cfg.tag_latency,
+        });
+        let (path, leaf) = ok(src.path_from(src.root(), req.key, id_info));
+        self.fetch_all(src, &path, Some(req.key));
+        let leaf_id = path[path.len() - 1].0;
+        if matches!(leaf, Descend::Leaf { found: true, .. }) {
+            c.insert(req.key, leaf_id as u64);
+            self.stats.inserts += 1;
+            self.charge(addr_fj);
+        }
+        self.stats.misses += 1;
+        let chain = ok(src.scan_chain(leaf_id, req.scan_leaves, id_info));
+        self.fetch_all(src, &chain, None);
+        decide::resolve(self, &leaf);
+        Some(leaf)
+    }
+}
+
+impl CostSink for SimCost<'_> {
+    fn stats(&mut self) -> &mut RunStats {
+        self.stats
+    }
+
+    fn probed(&mut self, hit: bool, scan: bool) {
+        self.stats.cache_energy_fj = self
+            .stats
+            .cache_energy_fj
+            .saturating_add(self.cfg.energy.ix_access_fj);
+        if !scan {
+            let cycles = if hit {
+                self.cfg.ix_hit_latency()
+            } else {
+                self.cfg.tag_latency + self.cfg.range_match_latency
+            };
+            self.steps.push_back(WalkStep::Sram { cycles });
+        }
+    }
+
+    fn leaf_hit(&mut self) {
+        self.steps.push_back(WalkStep::Sram {
+            cycles: self.cfg.ix_hit_latency(),
+        });
+        self.search();
+    }
+
+    fn fetched(&mut self, addr: Addr, bytes: u64) {
+        self.steps.push_back(WalkStep::Dram { addr, bytes });
+        self.search();
+        self.stats.dram_node_reads += 1;
+        self.ws
+            .touch_span(addr.block(), blocks_spanned(addr, bytes));
+    }
+
+    fn admitted(&mut self) {
+        self.stats.cache_energy_fj = self
+            .stats
+            .cache_energy_fj
+            .saturating_add(self.cfg.energy.ix_access_fj);
+    }
+
+    fn value(&mut self, addr: Addr, bytes: u64) {
+        if let Some(scratch) = self.scratch.as_deref_mut() {
+            self.stats.walker_energy_fj = self
+                .stats
+                .walker_energy_fj
+                .saturating_add(self.cfg.energy.addr_access_fj);
+            if scratch.access(addr.block()) {
+                self.steps.push_back(WalkStep::Sram {
+                    cycles: self.cfg.sram_latency,
+                });
+                return;
+            }
+        }
+        self.steps.push_back(WalkStep::Dram { addr, bytes });
+    }
+
+    fn written(&mut self, addr: Addr, bytes: u64) {
+        self.steps.push_back(WalkStep::Dram { addr, bytes });
+        self.ws
+            .touch_span(addr.block(), blocks_spanned(addr, bytes));
+    }
 }
 
 impl<'a> DesignModel<'a> {
@@ -232,78 +599,21 @@ impl<'a> DesignModel<'a> {
         for req in prefix {
             Self::replay_write(&mut own_trees, req);
         }
-        let state = match spec {
-            DesignSpec::Stream => CacheState::Stream,
-            DesignSpec::Address { entries, ways } => {
+        let state = match (MetalState::new(spec, exp, cfg.lanes), spec) {
+            (Some(metal), _) => CacheState::Metal(metal),
+            (None, DesignSpec::Address { entries, ways }) => {
                 CacheState::Address(AddressCache::new(*entries, *ways))
             }
-            DesignSpec::FaOpt { entries } => CacheState::FaOpt {
+            (None, DesignSpec::FaOpt { entries }) => CacheState::FaOpt {
                 hits: Self::precompute_opt(exp, *entries, &own_trees),
             },
-            DesignSpec::XCache { entries, ways } => {
+            (None, DesignSpec::XCache { entries, ways }) => {
                 CacheState::XCache(KeyCache::new(*entries, *ways))
             }
-            DesignSpec::MetalIx { ix } => CacheState::Metal {
-                caches: vec![IxCache::new(*ix)],
-                descriptors: vec![Descriptor::All; exp.indexes.len()],
-                tuners: None,
-                scratch: AddressCache::new(cfg.data_scratch_entries, 16),
-            },
-            DesignSpec::Metal {
-                ix,
-                descriptors,
-                tune,
-                batch_walks,
-            } => {
-                assert_eq!(
-                    descriptors.len(),
-                    exp.indexes.len(),
-                    "need one descriptor per index"
-                );
-                let tuners = if *tune {
-                    Some(
-                        exp.indexes
-                            .iter()
-                            .map(|i| Tuner::new(i.depth(), *batch_walks, ix.entries))
-                            .collect(),
-                    )
-                } else {
-                    None
-                };
-                CacheState::Metal {
-                    caches: vec![IxCache::new(*ix)],
-                    descriptors: descriptors.clone(),
-                    tuners,
-                    scratch: AddressCache::new(cfg.data_scratch_entries, 16),
-                }
-            }
-            DesignSpec::MetalPrivate { ix, descriptors } => {
-                assert_eq!(
-                    descriptors.len(),
-                    exp.indexes.len(),
-                    "need one descriptor per index"
-                );
-                let slice = IxConfig {
-                    entries: (ix.entries / cfg.lanes).max(2),
-                    ..*ix
-                };
-                CacheState::Metal {
-                    caches: (0..cfg.lanes)
-                        .map(|lane| {
-                            let mut c = IxCache::new(slice);
-                            // Private slices share one (design, shard) event
-                            // stream, so partition the entry-id space per
-                            // lane to keep ids unique in the trace.
-                            c.set_entry_id_stream(lane as u64);
-                            c
-                        })
-                        .collect(),
-                    descriptors: descriptors.clone(),
-                    tuners: None,
-                    scratch: AddressCache::new(cfg.data_scratch_entries, 16),
-                }
-            }
+            (None, _) => CacheState::Stream,
         };
+        let scratch = matches!(state, CacheState::Metal(_))
+            .then(|| AddressCache::new(cfg.data_scratch_entries, 16));
         let total_blocks = exp.total_index_blocks();
         DesignModel {
             exp,
@@ -319,6 +629,7 @@ impl<'a> DesignModel<'a> {
             sink: None,
             now: 0,
             progress: None,
+            scratch,
         }
     }
 
@@ -326,11 +637,8 @@ impl<'a> DesignModel<'a> {
     /// recording on the IX-caches so `Fill`/`Evict` events can be
     /// emitted; everything stays observe-only.
     pub fn set_sink(&mut self, sink: Option<SharedSink>) {
-        let on = sink.is_some();
-        if let CacheState::Metal { caches, .. } = &mut self.state {
-            for c in caches {
-                c.set_recording(on);
-            }
+        if let CacheState::Metal(metal) = &mut self.state {
+            metal.set_recording(sink.is_some());
         }
         self.sink = sink;
     }
@@ -341,52 +649,32 @@ impl<'a> DesignModel<'a> {
         self.progress = progress;
     }
 
-    /// Emits a model-side event at the current plan time.
-    fn emit(&self, ev: Event) {
-        emit_to(&self.sink, self.now, &ev);
+    fn metal(&self) -> Option<&MetalState> {
+        match &self.state {
+            CacheState::Metal(metal) => Some(metal),
+            _ => None,
+        }
     }
 
     /// The (first) IX-cache, if this design has one.
     pub fn ix_cache(&self) -> Option<&IxCache> {
-        match &self.state {
-            CacheState::Metal { caches, .. } => caches.first(),
-            _ => None,
-        }
+        self.metal().and_then(|m| m.caches.first())
     }
 
     /// Aggregate IX-cache occupancy per level across all cache slices
     /// (one slice when shared, one per lane when private).
     pub fn occupancy_by_level(&self, max_level: u8) -> Option<Vec<usize>> {
-        match &self.state {
-            CacheState::Metal { caches, .. } => {
-                let mut out = vec![0usize; max_level as usize + 1];
-                for c in caches {
-                    for (l, n) in c.occupancy_by_level(max_level).into_iter().enumerate() {
-                        out[l] += n;
-                    }
-                }
-                Some(out)
-            }
-            _ => None,
-        }
+        self.metal().map(|m| m.occupancy_by_level(max_level))
     }
 
     /// The tuners, if tuning is enabled (for Fig. 22 band histories).
     pub fn tuners(&self) -> Option<&[Tuner]> {
-        match &self.state {
-            CacheState::Metal {
-                tuners: Some(t), ..
-            } => Some(t),
-            _ => None,
-        }
+        self.metal().and_then(|m| m.tuners.as_deref())
     }
 
     /// The descriptors in their final (possibly tuned) state.
     pub fn descriptors(&self) -> Option<&[Descriptor]> {
-        match &self.state {
-            CacheState::Metal { descriptors, .. } => Some(descriptors),
-            _ => None,
-        }
+        self.metal().map(|m| &m.descriptors[..])
     }
 
     /// Finalizes windowed statistics into `stats` (call after the run).
@@ -427,882 +715,85 @@ impl<'a> DesignModel<'a> {
     }
 
     /// Applies one write op to the model-private trees with no modeled
-    /// cost (prefix catch-up and the offline OPT pass both replay this
-    /// way). Updates touch no structure, so only inserts/deletes matter.
-    fn replay_write(own: &mut [Option<BPlusTree>], req: &WalkRequest) -> Option<MutationReport> {
+    /// cost (prefix catch-up, the offline OPT pass and the native
+    /// executor's prefix all replay this way). `None` when the index has
+    /// no private B+tree.
+    pub(crate) fn replay_write(
+        own: &mut [Option<BPlusTree>],
+        req: &WalkRequest,
+    ) -> Option<MutationReport> {
         let tree = own.get_mut(req.index as usize)?.as_mut()?;
+        Some(Self::apply_write_op(tree, req))
+    }
+
+    /// Applies one write op to `tree`; an update or select changes no node.
+    fn apply_write_op(tree: &mut BPlusTree, req: &WalkRequest) -> MutationReport {
         match req.op {
-            OpKind::Insert => Some(tree.insert_key(req.key)),
-            OpKind::Delete => Some(tree.delete_key(req.key)),
-            OpKind::Select | OpKind::Update => None,
+            OpKind::Insert => tree.insert_key(req.key),
+            OpKind::Delete => tree.delete_key(req.key),
+            OpKind::Select | OpKind::Update => MutationReport::default(),
         }
-    }
-
-    /// The root-to-leaf node path for `key` starting at `from`.
-    fn path_from(
-        index: &dyn WalkIndex,
-        from: NodeId,
-        key: Key,
-    ) -> (Vec<(NodeId, NodeInfo)>, Descend) {
-        let mut path = Vec::with_capacity(index.depth() as usize);
-        let mut id = from;
-        loop {
-            let info = index.node(id);
-            path.push((id, info));
-            match index.descend(id, key) {
-                Descend::Child(c) => id = c,
-                leaf @ Descend::Leaf { .. } => return (path, leaf),
-            }
-        }
-    }
-
-    /// The leaves a range scan visits after landing on `first` (inclusive
-    /// of `first` only through the walk itself — this returns the extra
-    /// hops).
-    fn scan_chain(index: &dyn WalkIndex, first: NodeId, hops: u32) -> Vec<(NodeId, NodeInfo)> {
-        let mut out = Vec::with_capacity(hops as usize);
-        let mut cur = first;
-        for _ in 0..hops {
-            match index.next_leaf(cur) {
-                Some(n) => {
-                    out.push((n, index.node(n)));
-                    cur = n;
-                }
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Address-cache node access: a multi-block node probes the cache per
-    /// spanned block; missing blocks are fetched individually (they
-    /// pipeline across DRAM banks).
-    fn push_addr_node_access(
-        &mut self,
-        steps: &mut VecDeque<WalkStep>,
-        addr: metal_sim::types::Addr,
-        bytes: u64,
-    ) {
-        let addr_fj = self.cfg.energy.addr_access_fj;
-        // MAD/Widx walk through the general cache hierarchy: every block
-        // touch pays the hierarchy traversal, hit or miss.
-        let hit_lat = self.cfg.hierarchy_hit_latency;
-        let miss_lat = self.cfg.hierarchy_hit_latency;
-        let n_blocks = blocks_spanned(addr, bytes).max(1);
-        let mut any_miss = false;
-        // Consecutive missing blocks coalesce into one burst (the miss
-        // handler fetches the gap with a single DRAM transaction train).
-        let mut run_start: Option<u64> = None;
-        let mut run_len = 0u64;
-        for i in 0..=n_blocks {
-            let missing = if i < n_blocks {
-                let block_addr = metal_sim::types::Addr::new(addr.get() + i * 64);
-                let hit = match &mut self.state {
-                    CacheState::Address(c) => c.access(block_addr.block()),
-                    _ => unreachable!("address-design helper"),
-                };
-                self.stats.probes += 1;
-                self.charge_cache_access(addr_fj);
-                if hit {
-                    steps.push_back(WalkStep::Sram { cycles: hit_lat });
-                    false
-                } else {
-                    any_miss = true;
-                    self.stats.misses += 1;
-                    self.stats.inserts += 1;
-                    self.ws.touch(block_addr.block());
-                    true
-                }
-            } else {
-                false
-            };
-            if missing {
-                if run_start.is_none() {
-                    run_start = Some(addr.get() + i * 64);
-                    steps.push_back(WalkStep::Sram { cycles: miss_lat });
-                }
-                run_len += 1;
-            } else if let Some(start) = run_start.take() {
-                steps.push_back(WalkStep::Dram {
-                    addr: metal_sim::types::Addr::new(start),
-                    bytes: run_len * 64,
-                });
-                run_len = 0;
-            }
-        }
-        if any_miss {
-            self.stats.dram_node_reads += 1;
-        }
-        steps.push_back(WalkStep::Busy {
-            cycles: self.cfg.node_search_latency,
-        });
-        self.stats.walker_energy_fj = self
-            .stats
-            .walker_energy_fj
-            .saturating_add(self.cfg.energy.walker_fj);
-    }
-
-    fn push_dram_node_access(
-        &mut self,
-        steps: &mut VecDeque<WalkStep>,
-        addr: metal_sim::types::Addr,
-        bytes: u64,
-    ) {
-        steps.push_back(WalkStep::Dram { addr, bytes });
-        steps.push_back(WalkStep::Busy {
-            cycles: self.cfg.node_search_latency,
-        });
-        self.stats.dram_node_reads += 1;
-        self.stats.walker_energy_fj = self
-            .stats
-            .walker_energy_fj
-            .saturating_add(self.cfg.energy.walker_fj);
-        self.ws
-            .touch_span(addr.block(), blocks_spanned(addr, bytes));
-    }
-
-    fn push_dram_node_for(
-        &mut self,
-        steps: &mut VecDeque<WalkStep>,
-        index: &dyn WalkIndex,
-        id: NodeId,
-        key: Key,
-    ) {
-        let (addr, bytes) = index.access_for(id, key);
-        self.push_dram_node_access(steps, addr, bytes);
-    }
-
-    fn push_sram_node(&mut self, steps: &mut VecDeque<WalkStep>, latency: Cycles) {
-        steps.push_back(WalkStep::Sram { cycles: latency });
-        steps.push_back(WalkStep::Busy {
-            cycles: self.cfg.node_search_latency,
-        });
-        self.stats.walker_energy_fj = self
-            .stats
-            .walker_energy_fj
-            .saturating_add(self.cfg.energy.walker_fj);
-    }
-
-    fn note_outcome(&mut self, leaf: &Descend) {
-        if matches!(leaf, Descend::Leaf { found: true, .. }) {
-            self.stats.found_walks += 1;
-        }
-    }
-
-    fn push_value_fetch(&mut self, steps: &mut VecDeque<WalkStep>, leaf: &Descend) {
-        if let Descend::Leaf {
-            found: true,
-            value_addr,
-            value_bytes,
-        } = leaf
-        {
-            if *value_bytes > 0 {
-                steps.push_back(WalkStep::Dram {
-                    addr: *value_addr,
-                    bytes: *value_bytes,
-                });
-            }
-        }
-    }
-
-    fn push_compute(&mut self, steps: &mut VecDeque<WalkStep>, ops: u64) {
-        if ops > 0 {
-            let cycles = ops.div_ceil(self.cfg.tile_ops_per_cycle);
-            steps.push_back(WalkStep::Busy {
-                cycles: Cycles::new(cycles),
-            });
-            self.stats.compute_ops += ops;
-            self.stats.compute_energy_fj = self
-                .stats
-                .compute_energy_fj
-                .saturating_add(ops.saturating_mul(self.cfg.energy.op_fj));
-        }
-    }
-
-    fn charge_cache_access(&mut self, fj: u64) {
-        self.stats.cache_energy_fj = self.stats.cache_energy_fj.saturating_add(fj);
     }
 
     /// Plans the complete step sequence of one request: the walk through
     /// the design's caches, then — for write ops — the mutation, its
     /// write-back traffic and the coherence invalidations it forces.
-    fn plan(&mut self, req: &WalkRequest, lane: usize) -> VecDeque<WalkStep> {
+    fn plan(&mut self, req: &WalkRequest, slot: usize) -> VecDeque<WalkStep> {
         let mut steps = VecDeque::new();
         let mut own = std::mem::take(&mut self.own_trees);
-        let exp = self.exp;
-        let index = Self::effective_index(&own, exp, req.index as usize);
-
-        match &mut self.state {
-            CacheState::Stream => {
-                let (path, leaf) = Self::path_from(index, index.root(), req.key);
-                for &(id, _) in &path {
-                    self.push_dram_node_for(&mut steps, index, id, req.key);
-                }
-                let scan_start = path.last().map(|&(id, _)| id);
-                self.plan_scan_stream(&mut steps, index, scan_start, req.scan_leaves);
-                self.note_outcome(&leaf);
-                self.push_value_fetch(&mut steps, &leaf);
-                self.push_compute(&mut steps, req.compute_ops);
+        let mut src = SimNodes::new(&mut own, self.exp, req.index as usize);
+        let mut cost = SimCost {
+            steps: &mut steps,
+            stats: &mut self.stats,
+            ws: &mut self.ws,
+            cfg: &self.cfg,
+            scratch: self.scratch.as_mut(),
+        };
+        let obs = Obs {
+            sink: &self.sink,
+            at: self.now,
+        };
+        // The leaf the walk resolved (`None`: an X-Cache hit resolves none).
+        let leaf = match &mut self.state {
+            CacheState::Stream => Some(ok(decide::stream_walk(&mut src, &mut cost, req))),
+            CacheState::Metal(metal) => {
+                // Cache affinity is per *physical* lane, so the MLP window
+                // of one lane shares that lane's private slice.
+                let lane = self.cfg.lane_of_slot(slot);
+                Some(ok(metal.walk(&mut src, &mut cost, obs, req, lane)))
             }
-
-            CacheState::Address(_) => {
-                let (path, leaf) = Self::path_from(index, index.root(), req.key);
-                for &(id, _) in &path {
-                    let (a, b) = index.access_for(id, req.key);
-                    self.push_addr_node_access(&mut steps, a, b);
-                }
-                let scan_start = path.last().map(|&(id, _)| id);
-                self.plan_scan_address(&mut steps, index, scan_start, req.scan_leaves);
-                self.note_outcome(&leaf);
-                // MAD/Widx-style unified cache: data objects also allocate
-                // in the address cache and compete with index blocks.
-                self.plan_value_address(&mut steps, &leaf);
-                self.push_compute(&mut steps, req.compute_ops);
+            CacheState::Address(c) => Some(cost.unified_walk(&mut src, Unified::Lru(c), req)),
+            CacheState::FaOpt { hits } => {
+                let decisions = std::mem::take(&mut hits[self.cursor]).into_iter();
+                Some(cost.unified_walk(&mut src, Unified::Opt(decisions), req))
             }
-
-            CacheState::FaOpt { .. } => {
-                let (path, leaf) = Self::path_from(index, index.root(), req.key);
-                let scan_start = path.last().map(|&(id, _)| id);
-                let scan = scan_start
-                    .map(|s| Self::scan_chain(index, s, req.scan_leaves))
-                    .unwrap_or_default();
-                let decisions = match &mut self.state {
-                    CacheState::FaOpt { hits } => std::mem::take(&mut hits[self.cursor]),
-                    _ => unreachable!(),
-                };
-                let addr_fj = self.cfg.energy.addr_access_fj;
-                let hit_lat = self.cfg.hierarchy_hit_latency;
-                let miss_lat = self.cfg.hierarchy_hit_latency;
-                let mut di = 0usize;
-                for &(id, info) in path.iter().chain(scan.iter()) {
-                    let (a, b) = index.access_for(id, req.key.max(info.lo));
-                    let n_blocks = blocks_spanned(a, b).max(1);
-                    let mut any_miss = false;
-                    let mut run_start: Option<u64> = None;
-                    let mut run_len = 0u64;
-                    for i in 0..=n_blocks {
-                        let missing = if i < n_blocks {
-                            let hit = decisions.get(di).copied().unwrap_or(false);
-                            di += 1;
-                            self.stats.probes += 1;
-                            self.charge_cache_access(addr_fj);
-                            if hit {
-                                steps.push_back(WalkStep::Sram { cycles: hit_lat });
-                                false
-                            } else {
-                                any_miss = true;
-                                self.stats.misses += 1;
-                                self.stats.inserts += 1;
-                                self.ws
-                                    .touch(metal_sim::types::Addr::new(a.get() + i * 64).block());
-                                true
-                            }
-                        } else {
-                            false
-                        };
-                        if missing {
-                            if run_start.is_none() {
-                                run_start = Some(a.get() + i * 64);
-                                steps.push_back(WalkStep::Sram { cycles: miss_lat });
-                            }
-                            run_len += 1;
-                        } else if let Some(start) = run_start.take() {
-                            steps.push_back(WalkStep::Dram {
-                                addr: metal_sim::types::Addr::new(start),
-                                bytes: run_len * 64,
-                            });
-                            run_len = 0;
-                        }
-                    }
-                    if any_miss {
-                        self.stats.dram_node_reads += 1;
-                    }
-                    steps.push_back(WalkStep::Busy {
-                        cycles: self.cfg.node_search_latency,
-                    });
-                    self.stats.walker_energy_fj = self
-                        .stats
-                        .walker_energy_fj
-                        .saturating_add(self.cfg.energy.walker_fj);
-                }
-                self.note_outcome(&leaf);
-                // Data object through the unified cache as well.
-                if let Descend::Leaf {
-                    found: true,
-                    value_addr,
-                    value_bytes,
-                } = leaf
-                {
-                    if value_bytes > 0 {
-                        let hit = decisions.get(di).copied().unwrap_or(false);
-                        self.stats.probes += 1;
-                        self.charge_cache_access(addr_fj);
-                        if hit {
-                            steps.push_back(WalkStep::Sram { cycles: hit_lat });
-                        } else {
-                            self.stats.misses += 1;
-                            steps.push_back(WalkStep::Sram { cycles: miss_lat });
-                            steps.push_back(WalkStep::Dram {
-                                addr: value_addr,
-                                bytes: value_bytes,
-                            });
-                            self.stats.inserts += 1;
-                        }
-                    }
-                }
-                self.push_compute(&mut steps, req.compute_ops);
-            }
-
-            CacheState::XCache(_) => {
-                let addr_fj = self.cfg.energy.addr_access_fj;
-                let hit_lat = self.cfg.addr_hit_latency();
-                let miss_lat = self.cfg.tag_latency;
-                let probe = match &mut self.state {
-                    CacheState::XCache(c) => c.probe(req.key),
-                    _ => unreachable!(),
-                };
-                self.stats.probes += 1;
-                self.charge_cache_access(addr_fj);
-                match probe {
-                    Some(leaf_token) => {
-                        // Full short-circuit: data on the fast path. Only
-                        // found keys are ever inserted, so a hit is a find.
-                        steps.push_back(WalkStep::Sram { cycles: hit_lat });
-                        self.stats.found_walks += 1;
-                        self.stats.levels_skipped += index.depth() as u64;
-                        // Range scans continue from the cached leaf.
-                        let leaf_id = leaf_token as NodeId;
-                        self.plan_scan_stream(&mut steps, index, Some(leaf_id), req.scan_leaves);
-                    }
-                    None => {
-                        steps.push_back(WalkStep::Sram { cycles: miss_lat });
-                        let (path, leaf) = Self::path_from(index, index.root(), req.key);
-                        for &(id, _) in &path {
-                            self.push_dram_node_for(&mut steps, index, id, req.key);
-                        }
-                        if let (Some(&(leaf_id, _)), Descend::Leaf { found: true, .. }) =
-                            (path.last(), &leaf)
-                        {
-                            match &mut self.state {
-                                CacheState::XCache(c) => {
-                                    c.insert(req.key, leaf_id as u64);
-                                    self.stats.inserts += 1;
-                                    self.charge_cache_access(addr_fj);
-                                }
-                                _ => unreachable!(),
-                            }
-                        }
-                        self.stats.misses += 1;
-                        let scan_start = path.last().map(|&(id, _)| id);
-                        self.plan_scan_stream(&mut steps, index, scan_start, req.scan_leaves);
-                        self.note_outcome(&leaf);
-                        self.push_value_fetch(&mut steps, &leaf);
-                    }
-                }
-                self.push_compute(&mut steps, req.compute_ops);
-            }
-
-            CacheState::Metal { .. } => {
-                self.plan_metal(&mut steps, index, req, lane);
-            }
-        }
+            CacheState::XCache(c) => cost.xcache_walk(&mut src, c, req),
+        };
+        cost.compute(req.compute_ops);
 
         if req.op.is_write() {
-            self.apply_write(&mut steps, &mut own, req);
+            let metal = match &mut self.state {
+                CacheState::Metal(metal) => Some(metal),
+                _ => None,
+            };
+            let leaf = leaf.expect("a write's walk resolves its leaf");
+            let report = ok(decide::write(metal, &mut src, &mut cost, obs, req, leaf));
+            // X-Cache tags exact keys, so only leaf-level stale spans
+            // concern it — plus the deleted key's own line, which would
+            // stale-hit as "found" even when no node restructured.
+            if let (Some(report), CacheState::XCache(c)) = (report, &mut self.state) {
+                for span in report.stale.iter().filter(|s| s.level == 0) {
+                    cost.stats.entries_invalidated += c.invalidate_range(span.lo, span.hi);
+                }
+                if req.op == OpKind::Delete {
+                    cost.stats.entries_invalidated += c.invalidate_range(req.key, req.key);
+                }
+            }
         }
         self.own_trees = own;
         self.ws.walk_done();
         steps.push_back(WalkStep::Done);
         steps
-    }
-
-    /// Executes `req`'s write op against the model-private tree (the walk
-    /// that located the leaf was already planned): applies the mutation,
-    /// appends the dirtied nodes' write-back DRAM traffic, and runs the
-    /// per-design coherence protocol over the stale spans. Writes against
-    /// an index that is not a B+tree degrade to the lookup alone.
-    fn apply_write(
-        &mut self,
-        steps: &mut VecDeque<WalkStep>,
-        own: &mut [Option<BPlusTree>],
-        req: &WalkRequest,
-    ) {
-        self.stats.write_walks += 1;
-        if own
-            .get(req.index as usize)
-            .and_then(|t| t.as_ref())
-            .is_none()
-        {
-            return;
-        }
-        if req.op == OpKind::Update {
-            // In-place record rewrite: no structural change, no stale
-            // spans — just write the located record back.
-            let index = Self::effective_index(own, self.exp, req.index as usize);
-            if let (
-                _,
-                Descend::Leaf {
-                    found: true,
-                    value_addr,
-                    value_bytes,
-                },
-            ) = Self::path_from(index, index.root(), req.key)
-            {
-                if value_bytes > 0 {
-                    steps.push_back(WalkStep::Dram {
-                        addr: value_addr,
-                        bytes: value_bytes,
-                    });
-                    self.ws
-                        .touch_span(value_addr.block(), blocks_spanned(value_addr, value_bytes));
-                }
-            }
-            return;
-        }
-        let Some(report) = Self::replay_write(own, req) else {
-            return;
-        };
-        if !report.applied {
-            return;
-        }
-        self.stats.node_splits += report.splits as u64;
-        self.stats.node_merges += (report.merges + report.rebalances) as u64;
-        for &(addr, bytes) in &report.writes {
-            steps.push_back(WalkStep::Dram { addr, bytes });
-            self.ws
-                .touch_span(addr.block(), blocks_spanned(addr, bytes));
-        }
-        self.invalidate_stale(req, &report);
-    }
-
-    /// Mutation coherence: after a structural mutation, kill or shrink
-    /// every cached tag the stale spans could route wrongly. Only designs
-    /// that tag keys or key ranges carry such state — the address caches
-    /// tag physical blocks, which mutations rewrite in place.
-    fn invalidate_stale(&mut self, req: &WalkRequest, report: &MutationReport) {
-        let observing = self.sink.is_some();
-        let mut records = Vec::new();
-        match &mut self.state {
-            CacheState::Metal { caches, .. } => {
-                let before: u64 = caches.iter().map(|c| c.stats().invalidation_kills).sum();
-                for span in &report.stale {
-                    for c in caches.iter_mut() {
-                        c.invalidate_range(
-                            req.index,
-                            Some(span.level),
-                            KeyRange::new(span.lo, span.hi),
-                        );
-                    }
-                }
-                let after: u64 = caches.iter().map(|c| c.stats().invalidation_kills).sum();
-                self.stats.entries_invalidated += after - before;
-                if observing {
-                    for c in caches.iter_mut() {
-                        records.extend(c.drain_invalidations());
-                    }
-                }
-            }
-            CacheState::XCache(c) => {
-                for span in &report.stale {
-                    if span.level == 0 {
-                        self.stats.entries_invalidated += c.invalidate_range(span.lo, span.hi);
-                    }
-                }
-                if req.op == OpKind::Delete {
-                    // The deleted key's own line would stale-hit as
-                    // "found" even when no node restructured.
-                    self.stats.entries_invalidated += c.invalidate_range(req.key, req.key);
-                }
-            }
-            CacheState::Stream | CacheState::Address(_) | CacheState::FaOpt { .. } => {}
-        }
-        if observing {
-            for span in &report.stale {
-                self.emit(Event::Split {
-                    index: req.index,
-                    level: span.level,
-                    lo: span.lo,
-                    hi: span.hi,
-                    op: span.op,
-                });
-            }
-            for r in records {
-                self.emit(Event::Invalidate {
-                    index: r.index,
-                    level: r.level,
-                    set: r.set,
-                    entry: r.entry,
-                    lo: r.lo,
-                    hi: r.hi,
-                    killed: r.killed,
-                });
-            }
-        }
-    }
-
-    fn plan_metal(
-        &mut self,
-        steps: &mut VecDeque<WalkStep>,
-        index: &dyn WalkIndex,
-        req: &WalkRequest,
-        lane: usize,
-    ) {
-        // The engine hands us a walk-slot index; cache affinity is per
-        // *physical* lane, so the MLP window of one lane shares that
-        // lane's private slice (shared designs have a single cache and
-        // are unaffected). At width 1 this is the identity map.
-        let lane = self.cfg.lane_of_slot(lane);
-        let ix_fj = self.cfg.energy.ix_access_fj;
-        let hit_lat = self.cfg.ix_hit_latency();
-        let miss_lat = self.cfg.tag_latency + self.cfg.range_match_latency;
-        let ctx = AdmitCtx {
-            life_hint: req.life_hint,
-        };
-
-        let observing = self.sink.is_some();
-        let (probe, probe_set) = match &mut self.state {
-            CacheState::Metal { caches, .. } => {
-                let n = caches.len();
-                let c = &mut caches[lane % n];
-                let set = if observing {
-                    c.probe_set(req.index, req.key)
-                } else {
-                    0
-                };
-                (c.probe(req.index, req.key), set)
-            }
-            _ => unreachable!(),
-        };
-        self.stats.probes += 1;
-        self.charge_cache_access(ix_fj);
-        if let CacheState::Metal {
-            tuners: Some(ts), ..
-        } = &mut self.state
-        {
-            ts[req.index as usize].observe_probe(probe.is_some());
-            ts[req.index as usize].observe_key(req.key);
-        }
-
-        let (path, leaf, skipped) = match probe {
-            Some(hit) => {
-                steps.push_back(WalkStep::Sram { cycles: hit_lat });
-                if self.stats.hit_levels.len() <= hit.level as usize {
-                    self.stats.hit_levels.resize(hit.level as usize + 1, 0);
-                }
-                self.stats.hit_levels[hit.level as usize] += 1;
-                if let CacheState::Metal {
-                    tuners: Some(ts), ..
-                } = &mut self.state
-                {
-                    let bytes = index.node(hit.node).bytes;
-                    ts[req.index as usize].observe_node(hit.level, hit.node, bytes);
-                }
-                let skipped = (index.depth() as u64).saturating_sub(hit.level as u64);
-                match index.descend(hit.node, req.key) {
-                    Descend::Child(c) => {
-                        let (path, leaf) = Self::path_from(index, c, req.key);
-                        (path, leaf, skipped)
-                    }
-                    leaf @ Descend::Leaf { .. } => (Vec::new(), leaf, skipped),
-                }
-            }
-            None => {
-                self.stats.misses += 1;
-                steps.push_back(WalkStep::Sram { cycles: miss_lat });
-                let (path, leaf) = Self::path_from(index, index.root(), req.key);
-                (path, leaf, 0)
-            }
-        };
-        self.stats.levels_skipped += skipped;
-        if observing {
-            self.emit(Event::IxProbe {
-                index: req.index,
-                key: req.key,
-                hit: probe.is_some(),
-                level: probe.map_or(0, |h| h.level),
-                short_circuit: skipped.min(u8::MAX as u64) as u8,
-                set: probe_set,
-                scan: false,
-                entry: probe.map_or(NO_ENTRY, |h| h.entry),
-            });
-        }
-
-        for (id, info) in &path {
-            let (id, info) = (*id, *info);
-            self.push_dram_node_for(steps, index, id, req.key);
-            self.admit_node(index, req.index, id, &info, &ctx, ix_fj, lane);
-        }
-
-        // Range scan: probe the IX-cache per scanned leaf; the walker
-        // knows the next-leaf pointer and its lo key.
-        let scan_start = path.last().map(|&(i, _)| i).or(probe.map(|hit| hit.node));
-        if let Some(start) = scan_start {
-            let chain = Self::scan_chain(index, start, req.scan_leaves);
-            for (id, info) in chain {
-                let (leaf_hit, scan_entry, scan_set) = match &mut self.state {
-                    CacheState::Metal { caches, .. } => {
-                        let n = caches.len();
-                        let c = &mut caches[lane % n];
-                        let set = if observing {
-                            c.probe_set(req.index, info.lo)
-                        } else {
-                            0
-                        };
-                        let hit = c.probe(req.index, info.lo).filter(|h| h.node == id);
-                        (hit.is_some(), hit.map_or(NO_ENTRY, |h| h.entry), set)
-                    }
-                    _ => unreachable!(),
-                };
-                self.stats.probes += 1;
-                self.charge_cache_access(ix_fj);
-                if observing {
-                    self.emit(Event::IxProbe {
-                        index: req.index,
-                        key: info.lo,
-                        hit: leaf_hit,
-                        level: info.level,
-                        short_circuit: 0,
-                        set: scan_set,
-                        scan: true,
-                        entry: scan_entry,
-                    });
-                }
-                if leaf_hit {
-                    self.push_sram_node(steps, hit_lat);
-                } else {
-                    self.stats.misses += 1;
-                    self.push_dram_node_for(steps, index, id, info.lo);
-                    self.admit_node(index, req.index, id, &info, &ctx, ix_fj, lane);
-                }
-            }
-        }
-
-        self.note_outcome(&leaf);
-        self.plan_value_scratch(steps, &leaf);
-        self.push_compute(steps, req.compute_ops);
-
-        // Close the walk for the tuner (may retune the descriptor).
-        let mut decisions: Vec<TuneDecision> = Vec::new();
-        if let CacheState::Metal {
-            descriptors,
-            tuners: Some(ts),
-            ..
-        } = &mut self.state
-        {
-            let t = &mut ts[req.index as usize];
-            if t.walk_done(&mut descriptors[req.index as usize]) {
-                // Always drain so unobserved runs don't accumulate the
-                // decision log; emit only when a sink is attached.
-                decisions = t.take_decisions();
-            }
-        }
-        if observing {
-            for d in decisions {
-                self.emit(Event::TunerDecision {
-                    index: req.index,
-                    batch: d.batch,
-                    param: d.param,
-                    from: d.from,
-                    to: d.to,
-                });
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn admit_node(
-        &mut self,
-        _index: &dyn WalkIndex,
-        index_id: u8,
-        id: NodeId,
-        info: &NodeInfo,
-        ctx: &AdmitCtx,
-        ix_fj: u64,
-        lane: usize,
-    ) {
-        let observing = self.sink.is_some();
-        let mut admit_ev: Option<Event> = None;
-        let mut fills: Vec<FillRecord> = Vec::new();
-        let mut evicts: Vec<EvictRecord> = Vec::new();
-        let mut coalesces: Vec<CoalesceRecord> = Vec::new();
-        if let CacheState::Metal {
-            caches,
-            descriptors,
-            tuners,
-            ..
-        } = &mut self.state
-        {
-            if let Some(ts) = tuners {
-                ts[index_id as usize].observe_node(info.level, id, info.bytes);
-            }
-            let (verdict, reason) = descriptors[index_id as usize].decide(info, ctx);
-            match verdict {
-                Admit::Insert { life } => {
-                    let n = caches.len();
-                    let c = &mut caches[lane % n];
-                    let range = KeyRange::new(info.lo, info.hi);
-                    if observing {
-                        admit_ev = Some(Event::Insert {
-                            index: index_id,
-                            level: info.level,
-                            set: c.placement_set(index_id, &range),
-                            life,
-                            reason,
-                        });
-                    }
-                    c.insert(index_id, id, range, info.level, info.bytes, life);
-                    if observing {
-                        fills.extend(c.drain_fills());
-                        evicts.extend(c.drain_evictions());
-                        coalesces.extend(c.drain_coalesces());
-                    }
-                    self.stats.inserts += 1;
-                    self.stats.cache_energy_fj = self.stats.cache_energy_fj.saturating_add(ix_fj);
-                }
-                Admit::Bypass => {
-                    self.stats.bypasses += 1;
-                    if observing {
-                        admit_ev = Some(Event::Bypass {
-                            index: index_id,
-                            level: info.level,
-                            reason,
-                        });
-                    }
-                }
-            }
-        }
-        if observing {
-            if let Some(ev) = admit_ev {
-                self.emit(ev);
-            }
-            for f in fills {
-                self.emit(Event::Fill {
-                    index: f.index,
-                    level: f.level,
-                    set: f.set,
-                    entry: f.entry,
-                    pack: f.pack,
-                });
-            }
-            for co in coalesces {
-                self.emit(Event::Coalesce {
-                    index: co.index,
-                    level: co.level,
-                    set: co.set,
-                    entry: co.entry,
-                });
-            }
-            for e in evicts {
-                self.emit(Event::Evict {
-                    index: e.index,
-                    level: e.level,
-                    set: e.set,
-                    reason: e.reason,
-                    entry: e.entry,
-                    lo: e.lo,
-                    hi: e.hi,
-                    for_entry: e.for_entry,
-                });
-            }
-        }
-    }
-
-    fn plan_scan_stream(
-        &mut self,
-        steps: &mut VecDeque<WalkStep>,
-        index: &dyn WalkIndex,
-        start: Option<NodeId>,
-        hops: u32,
-    ) {
-        if let Some(s) = start {
-            for (id, info) in Self::scan_chain(index, s, hops) {
-                self.push_dram_node_for(steps, index, id, info.lo);
-            }
-        }
-    }
-
-    fn plan_scan_address(
-        &mut self,
-        steps: &mut VecDeque<WalkStep>,
-        index: &dyn WalkIndex,
-        start: Option<NodeId>,
-        hops: u32,
-    ) {
-        if let Some(s) = start {
-            for (id, info) in Self::scan_chain(index, s, hops) {
-                let (a, b) = index.access_for(id, info.lo);
-                self.push_addr_node_access(steps, a, b);
-            }
-        }
-    }
-
-    /// Data-object fetch through METAL's tile-local scratchpad: immediate
-    /// reuse of a staged object is served on-chip, everything else streams
-    /// from DRAM via DMA.
-    fn plan_value_scratch(&mut self, steps: &mut VecDeque<WalkStep>, leaf: &Descend) {
-        let hit_lat = self.cfg.sram_latency;
-        if let Descend::Leaf {
-            found: true,
-            value_addr,
-            value_bytes,
-        } = leaf
-        {
-            if *value_bytes == 0 {
-                return;
-            }
-            let hit = match &mut self.state {
-                CacheState::Metal { scratch, .. } => scratch.access(value_addr.block()),
-                _ => unreachable!("scratchpad staging is a METAL design feature"),
-            };
-            self.stats.walker_energy_fj = self
-                .stats
-                .walker_energy_fj
-                .saturating_add(self.cfg.energy.addr_access_fj);
-            if hit {
-                steps.push_back(WalkStep::Sram { cycles: hit_lat });
-            } else {
-                steps.push_back(WalkStep::Dram {
-                    addr: *value_addr,
-                    bytes: *value_bytes,
-                });
-            }
-        }
-    }
-
-    /// Data-object fetch through the unified address cache (MAD/Widx
-    /// cache everything; METAL's headline is decoupling index-metadata
-    /// reuse from data reuse, so only the address designs do this).
-    fn plan_value_address(&mut self, steps: &mut VecDeque<WalkStep>, leaf: &Descend) {
-        let addr_fj = self.cfg.energy.addr_access_fj;
-        let hit_lat = self.cfg.hierarchy_hit_latency;
-        let miss_lat = self.cfg.hierarchy_hit_latency;
-        if let Descend::Leaf {
-            found: true,
-            value_addr,
-            value_bytes,
-        } = leaf
-        {
-            if *value_bytes == 0 {
-                return;
-            }
-            let hit = match &mut self.state {
-                CacheState::Address(c) => c.access(value_addr.block()),
-                _ => unreachable!("only the address design fetches data via cache"),
-            };
-            self.stats.probes += 1;
-            self.charge_cache_access(addr_fj);
-            if hit {
-                steps.push_back(WalkStep::Sram { cycles: hit_lat });
-            } else {
-                self.stats.misses += 1;
-                steps.push_back(WalkStep::Sram { cycles: miss_lat });
-                steps.push_back(WalkStep::Dram {
-                    addr: *value_addr,
-                    bytes: *value_bytes,
-                });
-                self.stats.inserts += 1;
-            }
-        }
     }
 
     /// Offline OPT pass: record every request's block trace (walk + scan)
@@ -1321,34 +812,22 @@ impl<'a> DesignModel<'a> {
         let mut trace = Vec::new();
         let mut lens = Vec::with_capacity(exp.requests.len());
         for req in exp.requests {
-            {
-                let index = Self::effective_index(&own, exp, req.index as usize);
-                let (path, leaf) = Self::path_from(index, index.root(), req.key);
-                let scan = path
-                    .last()
-                    .map(|&(id, _)| Self::scan_chain(index, id, req.scan_leaves))
-                    .unwrap_or_default();
-                let mut n = 0;
-                for &(id, info) in path.iter().chain(scan.iter()) {
-                    let (a, b) = index.access_for(id, req.key.max(info.lo));
-                    for i in 0..blocks_spanned(a, b).max(1) {
-                        trace.push(metal_sim::types::Addr::new(a.get() + i * 64).block());
-                        n += 1;
-                    }
+            let mut src = SimNodes::new(&mut own, exp, req.index as usize);
+            let (path, leaf) = ok(src.path_from(src.root(), req.key, id_info));
+            let chain = ok(src.scan_chain(path[path.len() - 1].0, req.scan_leaves, id_info));
+            let mut n = 0;
+            for (id, info) in path.iter().chain(&chain) {
+                let (a, b) = src.access(*id, info, req.key.max(info.lo));
+                for i in 0..blocks_spanned(a, b).max(1) {
+                    trace.push(Addr::new(a.get() + i * 64).block());
+                    n += 1;
                 }
-                if let Descend::Leaf {
-                    found: true,
-                    value_addr,
-                    value_bytes,
-                } = leaf
-                {
-                    if value_bytes > 0 {
-                        trace.push(value_addr.block());
-                        n += 1;
-                    }
-                }
-                lens.push(n);
             }
+            if let Some((addr, _)) = decide::record(&leaf) {
+                trace.push(addr.block());
+                n += 1;
+            }
+            lens.push(n);
             Self::replay_write(&mut own, req);
         }
         let result = OptCache::new(entries).simulate(&trace);

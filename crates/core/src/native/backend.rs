@@ -5,16 +5,19 @@
 //! RunConfig)` triple as [`crate::runner::run_design`] and returns the
 //! same [`RunReport`], but every walk *executes*: nodes are materialized
 //! B+tree pages in block files ([`super::tree::PagedTree`]), the
-//! [`IxCache`] is a real software fast path (a probe hit resolves its
-//! node from the tree's decoded hot copy without touching the page layer),
-//! and mutations restructure the paged tree on disk. The cache-decision
-//! sequence is a line-for-line port of the simulator's `plan_metal` /
-//! `apply_write`, so both backends make **identical** cache decisions
-//! and must agree exactly on every semantic outcome: `found_walks`,
+//! [`IxCache`](crate::ixcache::IxCache) is a real software fast path (a
+//! probe hit resolves its node from the tree's decoded hot copy without
+//! touching the page layer), and mutations restructure the paged tree on
+//! disk. The cache decisions are not this module's: every walk runs the
+//! simulator's own kernel (`crate::decide`) over the paged tree, which
+//! is a `NodeSource`, with a cost sink that buffers `DramFetch`es and
+//! times phases. Both backends therefore make **identical** cache
+//! decisions and agree exactly on every semantic outcome: `found_walks`,
 //! `write_walks`, `node_splits`, `node_merges`, probes/misses/inserts/
-//! bypasses, per-level hit counts, `levels_skipped` and invalidation
-//! counts. `crates/verify/tests/backend_equivalence.rs` and the
-//! `ix_fuzz --backend native` arm enforce that agreement permanently.
+//! bypasses, per-level hit counts, `levels_skipped`, invalidation counts
+//! and the cache-side event sequence. `crates/verify/tests/
+//! backend_equivalence.rs` and the `ix_fuzz --backend native` arm guard
+//! what is left to differ: the storage layers, this adapter and timing.
 //!
 //! Only designs whose cache semantics are lane-independent are
 //! executable natively: `Stream`, `MetalIx` and `Metal`. (All three use
@@ -40,8 +43,8 @@
 //! serial path above — probes, admissions, mutations, events — and is
 //! the *only* walk with semantically visible effects. Scouts are
 //! speculative descents for the walks behind it: each scout picks its
-//! start node with the side-effect-free [`IxCache::peek`], then
-//! advances one tree level per yield in round-robin with its sibling
+//! start node with the side-effect-free [`IxCache::peek`](crate::ixcache::IxCache::peek),
+//! then advances one tree level per yield in round-robin with its sibling
 //! scouts (the software pipeline), issuing a prefetch at every level —
 //! a staged page read for cold nodes, a `core::arch` prefetch hint for
 //! nodes already decoded in memory. A walk whose peek hits a leaf gets
@@ -64,23 +67,22 @@
 //! re-opens its scout window, because the walks ahead may now route
 //! through nodes the mutation created.
 
+use super::blockfile::{BlockFileError, Result};
 use super::codec::PagedNode;
 use super::tree::{materialize_tree, ns_since, PagedTree};
-use crate::descriptor::{Admit, AdmitCtx, Descriptor};
-use crate::ixcache::IxCache;
-use crate::models::{DesignSpec, Experiment};
-use crate::range::KeyRange;
+use crate::decide::{self, CostSink, MetalState, NodeSource, Obs, Phase};
+use crate::models::{DesignModel, DesignSpec, Experiment};
 use crate::request::{OpKind, WalkRequest};
 use crate::runner::{shard_bounds, RunConfig, RunReport, ShardCtx};
-use crate::tuner::{TuneDecision, Tuner};
 use metal_index::bptree::{BPlusTree, MutationReport};
-use metal_index::walk::Descend;
+use metal_index::walk::{Descend, NodeInfo};
 use metal_index::NodeId;
-use metal_sim::obs::{emit_to, Event, SharedSink, NO_ENTRY};
+use metal_sim::obs::{emit_to, Event, SharedSink};
 use metal_sim::stats::RunStats;
-use metal_sim::types::Key;
+use metal_sim::types::{Addr, Key};
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 /// Walks between hot-copy garbage collections (drops decoded nodes the
 /// IX-cache no longer references; observe-only bookkeeping).
@@ -181,13 +183,6 @@ pub fn supports_native(spec: &DesignSpec) -> bool {
     )
 }
 
-/// The IX-cache and policy state of a METAL-family native run.
-struct CacheBits {
-    cache: IxCache,
-    descriptors: Vec<Descriptor>,
-    tuners: Option<Vec<Tuner>>,
-}
-
 /// Scoped-phase wall-time accumulators of one native shard (rolled
 /// into [`NativeMetrics`]; page-read and decode time accrue inside
 /// [`PagedTree`]'s own counters). Observe-only: reading the clock never
@@ -202,7 +197,8 @@ struct PhaseNs {
 /// One shard's native execution state.
 struct NativeRun {
     trees: Vec<PagedTree>,
-    cache: Option<CacheBits>,
+    /// The IX-cache state (`None` for `stream`).
+    metal: Option<MetalState>,
     stats: RunStats,
     sink: Option<SharedSink>,
     /// Deterministic logical clock: one tick per walk; every event of a
@@ -216,8 +212,122 @@ struct NativeRun {
     phase: PhaseNs,
 }
 
-fn io<T>(r: super::blockfile::Result<T>) -> T {
+fn io<T>(r: Result<T>) -> T {
     r.unwrap_or_else(|e| panic!("native backend storage failure: {e}"))
+}
+
+/// The paged tree as the kernel's node source: each fetched node travels
+/// with its decoded contents, so an admitted one enters the hot map
+/// without a second page read.
+impl NodeSource for PagedTree {
+    type Held = Option<PagedNode>;
+    type Error = BlockFileError;
+
+    fn root(&self) -> NodeId {
+        PagedTree::root(self)
+    }
+
+    fn depth(&self) -> u8 {
+        PagedTree::depth(self)
+    }
+
+    fn node_bytes(&self, id: NodeId) -> u64 {
+        PagedTree::node_bytes(self, id)
+    }
+
+    fn access(&self, _id: NodeId, info: &NodeInfo, _key: Key) -> (Addr, u64) {
+        (info.addr, info.bytes)
+    }
+
+    /// A probe hit's node resolves through its hot copy — the software
+    /// fast path the native backend measures.
+    fn descend(&mut self, id: NodeId, key: Key) -> Result<Descend> {
+        self.with_node(id, |node, _, shape| node.descend(key, shape))
+    }
+
+    fn path_from<T>(
+        &mut self,
+        from: NodeId,
+        key: Key,
+        keep: impl Fn(NodeId, NodeInfo, Option<PagedNode>) -> T,
+    ) -> Result<(Vec<T>, Descend)> {
+        self.path_with(from, key, keep)
+    }
+
+    fn scan_chain<T>(
+        &mut self,
+        first: NodeId,
+        hops: u32,
+        keep: impl Fn(NodeId, NodeInfo, Option<PagedNode>) -> T,
+    ) -> Result<Vec<T>> {
+        self.chain_with(first, hops, keep)
+    }
+
+    fn touch(&mut self, id: NodeId) -> Result<()> {
+        self.with_node(id, |_, _, _| ())
+    }
+
+    /// The cache now holds a live pointer to `id`, so its decoded
+    /// contents become the tree's hot copy.
+    fn admitted(&mut self, id: NodeId, held: Option<PagedNode>) -> Result<()> {
+        self.admit_hot_node(id, held)
+    }
+
+    fn mutate(&mut self, req: &WalkRequest) -> Result<Option<MutationReport>> {
+        Ok(Some(match req.op {
+            OpKind::Insert => self.insert_key(req.key)?,
+            OpKind::Delete => self.delete_key(req.key)?,
+            OpKind::Select | OpKind::Update => MutationReport::default(),
+        }))
+    }
+}
+
+/// The native cost sink: counts node fetches, buffers every fetch as a
+/// `DramFetch` for the walk's trace (only when observed) and times the
+/// probe and node-scan phases.
+struct NativeCost<'r> {
+    stats: &'r mut RunStats,
+    pending: Option<&'r mut Vec<(u64, u64)>>,
+    phase: &'r mut PhaseNs,
+}
+
+impl NativeCost<'_> {
+    fn record(&mut self, addr: Addr, bytes: u64) {
+        if let Some(p) = self.pending.as_deref_mut() {
+            p.push((addr.get(), bytes));
+        }
+    }
+}
+
+impl CostSink for NativeCost<'_> {
+    fn stats(&mut self) -> &mut RunStats {
+        self.stats
+    }
+
+    fn timed<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
+        let t0 = Instant::now();
+        let r = f();
+        *match phase {
+            Phase::IxProbe => &mut self.phase.ix_probe_ns,
+            Phase::NodeScan => &mut self.phase.node_scan_ns,
+        } += ns_since(t0);
+        r
+    }
+
+    fn fetched(&mut self, addr: Addr, bytes: u64) {
+        self.stats.dram_node_reads += 1;
+        self.record(addr, bytes);
+    }
+
+    /// The record read itself (the simulator stages it through a tile
+    /// scratchpad; semantically it is one value fetch).
+    fn value(&mut self, addr: Addr, bytes: u64) {
+        self.record(addr, bytes);
+    }
+
+    fn written(&mut self, addr: Addr, bytes: u64) {
+        self.record(addr, bytes);
+    }
 }
 
 /// One speculative prefetch descent in the MLP window (see the module
@@ -240,22 +350,6 @@ impl NativeRun {
         emit_to(&self.sink, self.clock, &ev);
     }
 
-    fn observing(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Records one node/value fetch that would hit DRAM: counted for
-    /// semantic equivalence (`dram_node_reads` when `node`), emitted as
-    /// a `DramFetch` after this walk's `WalkStart`.
-    fn fetch(&mut self, addr: u64, bytes: u64, node: bool) {
-        if node {
-            self.stats.dram_node_reads += 1;
-        }
-        if self.observing() {
-            self.pending_dram.push((addr, bytes));
-        }
-    }
-
     /// Opens a scout for `req`: start node from a side-effect-free
     /// cache peek (the same short-circuit the real probe will take on a
     /// hit), else the root. No scout when the peek hits a leaf: the walk
@@ -265,9 +359,9 @@ impl NativeRun {
         let idx = req.index as usize;
         let tree = self.trees.get(idx)?;
         let start = match self
-            .cache
+            .metal
             .as_ref()
-            .and_then(|b| b.cache.peek(req.index, req.key))
+            .and_then(|m| m.caches[0].peek(req.index, req.key))
         {
             Some(hit) if hit.level == 0 => return None,
             Some(hit) => hit.node,
@@ -307,29 +401,42 @@ impl NativeRun {
         }
     }
 
-    /// Executes one walk request end to end, mirroring the simulator's
-    /// event grammar: cache events, `WalkStart`, `DramFetch`s, `WalkEnd`.
-    /// Returns whether the walk applied a structural mutation (the MLP
-    /// scout window resets on it).
-    fn run_walk(&mut self, req: &WalkRequest) -> bool {
+    /// Executes one walk request end to end through the decision kernel,
+    /// mirroring the simulator's event grammar: cache events,
+    /// `WalkStart`, `DramFetch`s, `WalkEnd`. Returns whether the walk
+    /// applied a structural mutation (the MLP scout window resets on it).
+    fn run_walk(&mut self, req: &WalkRequest) -> Result<bool> {
         self.clock += 1;
         let walk = self.walk_seq;
         self.walk_seq += 1;
         self.stats.walks += 1;
+        self.stats.compute_ops += req.compute_ops;
         self.pending_dram.clear();
-        let leaf = if self.cache.is_some() {
-            self.exec_metal(req)
-        } else {
-            self.exec_stream(req)
+        let observing = self.sink.is_some();
+        let obs = Obs {
+            sink: &self.sink,
+            at: self.clock,
+        };
+        let tree = &mut self.trees[req.index as usize];
+        let mut cost = NativeCost {
+            stats: &mut self.stats,
+            pending: observing.then_some(&mut self.pending_dram),
+            phase: &mut self.phase,
+        };
+        let leaf = match &mut self.metal {
+            Some(m) => m.walk(tree, &mut cost, obs, req, 0)?,
+            None => decide::stream_walk(tree, &mut cost, req)?,
         };
         let mut mutated = false;
         if req.op.is_write() {
-            mutated = self.apply_write(req, leaf);
+            let t0 = Instant::now();
+            let report = decide::write(self.metal.as_mut(), tree, &mut cost, obs, req, leaf)?;
+            cost.phase.mutation_ns += ns_since(t0);
+            mutated = report.is_some();
         }
-        if self.observing() {
+        if observing {
             self.emit(Event::WalkStart { walk, lane: 0 });
-            let fetches = std::mem::take(&mut self.pending_dram);
-            for (addr, bytes) in fetches {
+            for &(addr, bytes) in &self.pending_dram {
                 self.emit(Event::DramFetch {
                     lane: 0,
                     addr,
@@ -343,459 +450,18 @@ impl NativeRun {
                 latency: 1,
             });
         }
-        mutated
-    }
-
-    /// Streaming baseline: every node access goes to the page layer
-    /// (port of the simulator's `Stream` plan arm). Returns the leaf
-    /// outcome the walk resolved.
-    fn exec_stream(&mut self, req: &WalkRequest) -> Descend {
-        let t0 = std::time::Instant::now();
-        let tree = &mut self.trees[req.index as usize];
-        let (path, leaf) = io(tree.path_from(tree.root(), req.key));
-        let mut fetches: Vec<(u64, u64)> = path
-            .iter()
-            .map(|&(_, info)| (info.addr.get(), info.bytes))
-            .collect();
-        let scan_start = path.last().map(|&(id, _)| id);
-        if let Some(start) = scan_start {
-            for (_, info) in io(tree.scan_chain(start, req.scan_leaves)) {
-                fetches.push((info.addr.get(), info.bytes));
-            }
-        }
-        self.phase.node_scan_ns += ns_since(t0);
-        for (addr, bytes) in fetches {
-            self.fetch(addr, bytes, true);
-        }
-        if matches!(leaf, Descend::Leaf { found: true, .. }) {
-            self.stats.found_walks += 1;
-        }
-        if let Descend::Leaf {
-            found: true,
-            value_addr,
-            value_bytes,
-        } = leaf
-        {
-            if value_bytes > 0 {
-                self.fetch(value_addr.get(), value_bytes, false);
-            }
-        }
-        if req.compute_ops > 0 {
-            self.stats.compute_ops += req.compute_ops;
-        }
-        leaf
-    }
-
-    /// METAL walk: probe the IX-cache, short-circuit from the hot copy
-    /// on a hit, fetch and admit the remaining path (port of
-    /// `plan_metal`, minus timing/energy — the decision and statistics
-    /// sequence is identical). Returns the leaf outcome the walk
-    /// resolved.
-    fn exec_metal(&mut self, req: &WalkRequest) -> Descend {
-        let observing = self.observing();
-        let idx = req.index as usize;
-        let ctx = AdmitCtx {
-            life_hint: req.life_hint,
-        };
-        let bits = self.cache.as_mut().expect("metal design has a cache");
-        let tree = &mut self.trees[idx];
-
-        let t0 = std::time::Instant::now();
-        let probe_set = if observing {
-            bits.cache.probe_set(req.index, req.key)
-        } else {
-            0
-        };
-        let probe = bits.cache.probe(req.index, req.key);
-        self.phase.ix_probe_ns += ns_since(t0);
-        self.stats.probes += 1;
-        if let Some(ts) = &mut bits.tuners {
-            ts[idx].observe_probe(probe.is_some());
-            ts[idx].observe_key(req.key);
-        }
-
-        let t0 = std::time::Instant::now();
-        let (path, leaf, skipped) = match probe {
-            Some(hit) => {
-                if self.stats.hit_levels.len() <= hit.level as usize {
-                    self.stats.hit_levels.resize(hit.level as usize + 1, 0);
-                }
-                self.stats.hit_levels[hit.level as usize] += 1;
-                if let Some(ts) = &mut bits.tuners {
-                    ts[idx].observe_node(hit.level, hit.node, tree.node_bytes(hit.node));
-                }
-                let skipped = (tree.depth() as u64).saturating_sub(hit.level as u64);
-                // The cached pointer resolves through the hot copy — this
-                // is the software fast path the native backend measures.
-                let step =
-                    io(tree.with_node(hit.node, |node, _, shape| node.descend(req.key, shape)));
-                match step {
-                    Descend::Child(c) => {
-                        let (path, leaf) = io(tree.path_nodes_from(c, req.key));
-                        (path, leaf, skipped)
-                    }
-                    leaf @ Descend::Leaf { .. } => (Vec::new(), leaf, skipped),
-                }
-            }
-            None => {
-                self.stats.misses += 1;
-                let (path, leaf) = io(tree.path_nodes_from(tree.root(), req.key));
-                (path, leaf, 0)
-            }
-        };
-        self.phase.node_scan_ns += ns_since(t0);
-        self.stats.levels_skipped += skipped;
-        if observing {
-            emit_to(
-                &self.sink,
-                self.clock,
-                &Event::IxProbe {
-                    index: req.index,
-                    key: req.key,
-                    hit: probe.is_some(),
-                    level: probe.map_or(0, |h| h.level),
-                    short_circuit: skipped.min(u8::MAX as u64) as u8,
-                    set: probe_set,
-                    scan: false,
-                    entry: probe.map_or(NO_ENTRY, |h| h.entry),
-                },
-            );
-        }
-
-        // Each fetched node travels with its decoded contents, so an
-        // admitted one enters the hot map without a second page read.
-        let scan_start = path.last().map(|(i, ..)| *i).or(probe.map(|h| h.node));
-        let mut fetches: Vec<(u64, u64)> = Vec::with_capacity(path.len());
-        for (id, info, node) in path {
-            fetches.push((info.addr.get(), info.bytes));
-            Self::admit_node(
-                &mut self.trees[idx],
-                self.cache.as_mut().expect("metal design has a cache"),
-                &mut self.stats,
-                &self.sink,
-                self.clock,
-                req.index,
-                id,
-                &info,
-                node,
-                &ctx,
-            );
-        }
-
-        // Range scan: probe per scanned leaf, fetch and admit misses.
-        if let Some(start) = scan_start {
-            let t0 = std::time::Instant::now();
-            let chain = io(self.trees[idx].scan_chain_nodes(start, req.scan_leaves));
-            self.phase.node_scan_ns += ns_since(t0);
-            for (id, info, node) in chain {
-                let bits = self.cache.as_mut().expect("metal design has a cache");
-                let scan_set = if observing {
-                    bits.cache.probe_set(req.index, info.lo)
-                } else {
-                    0
-                };
-                let hit = bits
-                    .cache
-                    .probe(req.index, info.lo)
-                    .filter(|h| h.node == id);
-                let leaf_hit = hit.is_some();
-                self.stats.probes += 1;
-                if observing {
-                    emit_to(
-                        &self.sink,
-                        self.clock,
-                        &Event::IxProbe {
-                            index: req.index,
-                            key: info.lo,
-                            hit: leaf_hit,
-                            level: info.level,
-                            short_circuit: 0,
-                            set: scan_set,
-                            scan: true,
-                            entry: hit.map_or(NO_ENTRY, |h| h.entry),
-                        },
-                    );
-                }
-                if leaf_hit {
-                    // Hot-path leaf: resolved from its hot copy.
-                    io(self.trees[idx].with_node(id, |_, _, _| ()));
-                } else {
-                    self.stats.misses += 1;
-                    fetches.push((info.addr.get(), info.bytes));
-                    Self::admit_node(
-                        &mut self.trees[idx],
-                        self.cache.as_mut().expect("metal design has a cache"),
-                        &mut self.stats,
-                        &self.sink,
-                        self.clock,
-                        req.index,
-                        id,
-                        &info,
-                        node,
-                        &ctx,
-                    );
-                }
-            }
-        }
-
-        for (addr, bytes) in fetches {
-            self.fetch(addr, bytes, true);
-        }
-        if matches!(leaf, Descend::Leaf { found: true, .. }) {
-            self.stats.found_walks += 1;
-        }
-        if let Descend::Leaf {
-            found: true,
-            value_addr,
-            value_bytes,
-        } = leaf
-        {
-            // The record read itself (the simulator stages it through a
-            // tile scratchpad; semantically it is one value fetch).
-            if value_bytes > 0 {
-                self.fetch(value_addr.get(), value_bytes, false);
-            }
-        }
-        if req.compute_ops > 0 {
-            self.stats.compute_ops += req.compute_ops;
-        }
-
-        // Close the walk for the tuner (may retune the descriptor).
-        let bits = self.cache.as_mut().expect("metal design has a cache");
-        let mut decisions: Vec<TuneDecision> = Vec::new();
-        if let Some(ts) = &mut bits.tuners {
-            let t = &mut ts[idx];
-            if t.walk_done(&mut bits.descriptors[idx]) {
-                decisions = t.take_decisions();
-            }
-        }
-        if observing {
-            for d in decisions {
-                emit_to(
-                    &self.sink,
-                    self.clock,
-                    &Event::TunerDecision {
-                        index: req.index,
-                        batch: d.batch,
-                        param: d.param,
-                        from: d.from,
-                        to: d.to,
-                    },
-                );
-            }
-        }
-        leaf
-    }
-
-    /// Descriptor decision + insertion for one fetched node (port of the
-    /// simulator's `admit_node`). On insert the node's decoded contents
-    /// also become the tree's hot copy — the cache now holds a live
-    /// pointer to it. `node` is what a cold read decoded (`None` when a
-    /// held copy served the read: a staged one is then retagged hot).
-    #[allow(clippy::too_many_arguments)]
-    fn admit_node(
-        tree: &mut PagedTree,
-        bits: &mut CacheBits,
-        stats: &mut RunStats,
-        sink: &Option<SharedSink>,
-        clock: u64,
-        index_id: u8,
-        id: NodeId,
-        info: &metal_index::NodeInfo,
-        node: Option<PagedNode>,
-        ctx: &AdmitCtx,
-    ) {
-        let observing = sink.is_some();
-        if let Some(ts) = &mut bits.tuners {
-            ts[index_id as usize].observe_node(info.level, id, info.bytes);
-        }
-        let (verdict, reason) = bits.descriptors[index_id as usize].decide(info, ctx);
-        match verdict {
-            Admit::Insert { life } => {
-                let range = KeyRange::new(info.lo, info.hi);
-                if observing {
-                    emit_to(
-                        sink,
-                        clock,
-                        &Event::Insert {
-                            index: index_id,
-                            level: info.level,
-                            set: bits.cache.placement_set(index_id, &range),
-                            life,
-                            reason,
-                        },
-                    );
-                }
-                bits.cache
-                    .insert(index_id, id, range, info.level, info.bytes, life);
-                if observing {
-                    for f in bits.cache.drain_fills() {
-                        emit_to(
-                            sink,
-                            clock,
-                            &Event::Fill {
-                                index: f.index,
-                                level: f.level,
-                                set: f.set,
-                                entry: f.entry,
-                                pack: f.pack,
-                            },
-                        );
-                    }
-                    for co in bits.cache.drain_coalesces() {
-                        emit_to(
-                            sink,
-                            clock,
-                            &Event::Coalesce {
-                                index: co.index,
-                                level: co.level,
-                                set: co.set,
-                                entry: co.entry,
-                            },
-                        );
-                    }
-                    for e in bits.cache.drain_evictions() {
-                        emit_to(
-                            sink,
-                            clock,
-                            &Event::Evict {
-                                index: e.index,
-                                level: e.level,
-                                set: e.set,
-                                reason: e.reason,
-                                entry: e.entry,
-                                lo: e.lo,
-                                hi: e.hi,
-                                for_entry: e.for_entry,
-                            },
-                        );
-                    }
-                }
-                stats.inserts += 1;
-                io(tree.admit_hot_node(id, node));
-            }
-            Admit::Bypass => {
-                stats.bypasses += 1;
-                if observing {
-                    emit_to(
-                        sink,
-                        clock,
-                        &Event::Bypass {
-                            index: index_id,
-                            level: info.level,
-                            reason,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Executes `req`'s write op against the paged tree (port of the
-    /// simulator's `apply_write` + `invalidate_stale`); `leaf` is the
-    /// outcome of the walk that just served `req`. Returns whether a
-    /// structural mutation was applied (updates-in-place and no-op
-    /// writes change no node).
-    fn apply_write(&mut self, req: &WalkRequest, leaf: Descend) -> bool {
-        let t0 = std::time::Instant::now();
-        let mutated = self.apply_write_inner(req, leaf);
-        self.phase.mutation_ns += ns_since(t0);
-        mutated
-    }
-
-    fn apply_write_inner(&mut self, req: &WalkRequest, leaf: Descend) -> bool {
-        self.stats.write_walks += 1;
-        let idx = req.index as usize;
-        if req.op == OpKind::Update {
-            // The record's address is in the leaf the request's own walk
-            // resolved, with no write since: no second root-to-leaf walk.
-            debug_assert_eq!(
-                leaf,
-                {
-                    let tree = &mut self.trees[idx];
-                    io(tree.path_from(tree.root(), req.key)).1
-                },
-                "an update's walk resolved a different leaf than a root walk"
-            );
-            if let Descend::Leaf {
-                found: true,
-                value_addr,
-                value_bytes,
-            } = leaf
-            {
-                if value_bytes > 0 {
-                    self.fetch(value_addr.get(), value_bytes, false);
-                }
-            }
-            return false;
-        }
-        let report: MutationReport = match req.op {
-            OpKind::Insert => io(self.trees[idx].insert_key(req.key)),
-            OpKind::Delete => io(self.trees[idx].delete_key(req.key)),
-            OpKind::Select | OpKind::Update => return false,
-        };
-        if !report.applied {
-            return false;
-        }
-        self.stats.node_splits += report.splits as u64;
-        self.stats.node_merges += (report.merges + report.rebalances) as u64;
-        for &(addr, bytes) in &report.writes {
-            self.fetch(addr.get(), bytes, false);
-        }
-
-        // Coherence: kill or shrink stale cached tags, exactly as the
-        // simulator does after the same mutation.
-        let observing = self.observing();
-        let mut records = Vec::new();
-        if let Some(bits) = &mut self.cache {
-            let before = bits.cache.stats().invalidation_kills;
-            for span in &report.stale {
-                bits.cache.invalidate_range(
-                    req.index,
-                    Some(span.level),
-                    KeyRange::new(span.lo, span.hi),
-                );
-            }
-            let after = bits.cache.stats().invalidation_kills;
-            self.stats.entries_invalidated += after - before;
-            records.extend(bits.cache.drain_invalidations());
-        }
-        if observing {
-            for span in &report.stale {
-                self.emit(Event::Split {
-                    index: req.index,
-                    level: span.level,
-                    lo: span.lo,
-                    hi: span.hi,
-                    op: span.op,
-                });
-            }
-            for r in records {
-                self.emit(Event::Invalidate {
-                    index: r.index,
-                    level: r.level,
-                    set: r.set,
-                    entry: r.entry,
-                    lo: r.lo,
-                    hi: r.hi,
-                    killed: r.killed,
-                });
-            }
-        }
-        true
+        Ok(mutated)
     }
 
     /// Drops hot nodes the IX-cache no longer references (periodic,
     /// observe-only — affects measured page I/O, never outcomes).
     fn gc_hot(&mut self) {
-        let Some(bits) = &self.cache else { return };
-        let snapshot = bits.cache.snapshot();
-        for (i, tree) in self.trees.iter_mut().enumerate() {
-            let keep: HashSet<NodeId> = snapshot
-                .iter()
-                .filter(|e| e.index as usize == i)
-                .flat_map(|e| e.segs.iter().map(|&(_, n)| n))
-                .collect();
+        let Some(m) = &self.metal else { return };
+        let mut keep: Vec<HashSet<NodeId>> = vec![HashSet::new(); self.trees.len()];
+        for e in m.caches.iter().flat_map(|c| c.snapshot()) {
+            keep[e.index as usize].extend(e.segs.iter().map(|&(_, n)| n));
+        }
+        for (tree, keep) in self.trees.iter_mut().zip(&keep) {
             tree.retain_hot(|id| keep.contains(&id));
         }
     }
@@ -812,77 +478,29 @@ fn run_native_shard(
     prefix: &[WalkRequest],
 ) -> RunReport {
     // Start from the pristine experiment trees and replay the prefix
-    // writes (cost-free), like `DesignModel::new_with_prefix`.
-    let mut start: Vec<BPlusTree> = exp
+    // writes (cost-free) with the simulator's own replay.
+    let mut start: Vec<Option<BPlusTree>> = exp
         .indexes
         .iter()
         .map(|i| {
-            i.as_bptree()
-                .unwrap_or_else(|| {
-                    panic!(
-                        "the native backend executes B+tree indexes only (design {})",
-                        spec.label()
-                    )
-                })
-                .clone()
+            let tree = i.as_bptree().unwrap_or_else(|| {
+                panic!(
+                    "the native backend executes B+tree indexes only (design {})",
+                    spec.label()
+                )
+            });
+            Some(tree.clone())
         })
         .collect();
     for req in prefix {
-        if let Some(t) = start.get_mut(req.index as usize) {
-            match req.op {
-                OpKind::Insert => {
-                    t.insert_key(req.key);
-                }
-                OpKind::Delete => {
-                    t.delete_key(req.key);
-                }
-                OpKind::Select | OpKind::Update => {}
-            }
-        }
+        DesignModel::replay_write(&mut start, req);
     }
 
-    let trees: Vec<PagedTree> = start.iter().map(|t| io(materialize_tree(t))).collect();
-    let cache = match spec {
-        DesignSpec::Stream => None,
-        DesignSpec::MetalIx { ix } => Some(CacheBits {
-            cache: IxCache::new(*ix),
-            descriptors: vec![Descriptor::All; exp.indexes.len()],
-            tuners: None,
-        }),
-        DesignSpec::Metal {
-            ix,
-            descriptors,
-            tune,
-            batch_walks,
-        } => {
-            assert_eq!(
-                descriptors.len(),
-                exp.indexes.len(),
-                "need one descriptor per index"
-            );
-            let tuners = if *tune {
-                Some(
-                    exp.indexes
-                        .iter()
-                        .map(|i| Tuner::new(i.depth(), *batch_walks, ix.entries))
-                        .collect(),
-                )
-            } else {
-                None
-            };
-            Some(CacheBits {
-                cache: IxCache::new(*ix),
-                descriptors: descriptors.clone(),
-                tuners,
-            })
-        }
-        other => panic!(
-            "design '{}' is not supported by the native backend \
-             (supported: stream, metal-ix, metal)",
-            other.label()
-        ),
-    };
-
+    let trees: Vec<PagedTree> = start
+        .iter()
+        .flatten()
+        .map(|t| io(materialize_tree(t)))
+        .collect();
     let sink = cfg.obs.sink_factory.as_ref().and_then(|make| {
         make(&ShardCtx {
             design: spec.label().to_string(),
@@ -890,9 +508,13 @@ fn run_native_shard(
             epoch: cfg.epoch,
         })
     });
+    let mut metal = MetalState::new(spec, exp, cfg.sim.lanes);
+    if let Some(m) = &mut metal {
+        m.set_recording(sink.is_some());
+    }
     let mut run = NativeRun {
         trees,
-        cache,
+        metal,
         stats: RunStats::new(),
         sink,
         clock: 0,
@@ -900,9 +522,6 @@ fn run_native_shard(
         pending_dram: Vec::new(),
         phase: PhaseNs::default(),
     };
-    if let Some(bits) = &mut run.cache {
-        bits.cache.set_recording(run.sink.is_some());
-    }
 
     let width = cfg.mlp_width();
     // High-water mark of the scout window: request positions below it
@@ -911,7 +530,7 @@ fn run_native_shard(
     let mut scouted = 0usize;
     let mut staging_ns = 0u64;
     let mut slots: Vec<Scout> = Vec::with_capacity(width);
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     for (n, req) in exp.requests.iter().enumerate() {
         if width > 1 {
             // Fill the window with scouts for walks n+1 ..= n+width-1,
@@ -919,7 +538,7 @@ fn run_native_shard(
             // per yield, until every scout has finished its descent.
             // The architect (walk n) then runs the serial path below
             // and finds its nodes staged.
-            let ts = std::time::Instant::now();
+            let ts = Instant::now();
             let window_end = (n + width).min(exp.requests.len());
             slots.extend(
                 (scouted.max(n + 1)..window_end).filter_map(|p| run.open_scout(&exp.requests[p])),
@@ -930,7 +549,7 @@ fn run_native_shard(
             }
             staging_ns += ns_since(ts);
         }
-        let mutated = run.run_walk(req);
+        let mutated = io(run.run_walk(req));
         if mutated {
             // The flush kept every staged copy coherent, but the walks
             // scouted ahead may now route through nodes the mutation
@@ -950,20 +569,20 @@ fn run_native_shard(
         s.borrow_mut().flush();
     }
 
-    if let Some(bits) = &run.cache {
-        debug_assert_eq!(bits.cache.check_invariants(), Ok(()));
+    for c in run.metal.iter().flat_map(|m| &m.caches) {
+        debug_assert_eq!(c.check_invariants(), Ok(()));
     }
     run.stats.index_blocks = run.trees.iter().map(|t| t.total_blocks()).sum();
     let max_depth = run.trees.iter().map(|t| t.depth()).max().unwrap_or(1);
     let occupancy_by_level = run
-        .cache
+        .metal
         .as_ref()
-        .map(|b| b.cache.occupancy_by_level(max_depth))
+        .map(|m| m.occupancy_by_level(max_depth))
         .unwrap_or_default();
     let band_history = run
-        .cache
+        .metal
         .as_ref()
-        .and_then(|b| b.tuners.as_ref())
+        .and_then(|m| m.tuners.as_ref())
         .map(|ts| ts.iter().map(|t| t.history().to_vec()).collect())
         .unwrap_or_default();
 
@@ -1064,7 +683,7 @@ pub fn run_native_design(spec: &DesignSpec, exp: &Experiment<'_>, cfg: &RunConfi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::NodeDescriptor;
+    use crate::descriptor::{Descriptor, NodeDescriptor};
     use crate::ixcache::IxConfig;
     use crate::runner::run_design;
     use metal_sim::types::{Addr, Key};

@@ -7,8 +7,9 @@
 //! paged node store: the read path, plus the per-mutation frame set the
 //! one B+tree mutation algorithm ([`metal_index::nodestore`]) runs over, so
 //! datasets can exceed RAM. [`backend`] drives the same request streams
-//! the simulator consumes and reuses [`metal_sim::obs::Event`] so every
-//! downstream consumer (traces, `analyze`, epoch series, the flight
+//! the simulator consumes through the simulator's own cache-decision
+//! kernel (`crate::decide`) and reuses [`metal_sim::obs::Event`] so
+//! every downstream consumer (traces, `analyze`, epoch series, the flight
 //! recorder) works unchanged. The two backends must agree exactly on
 //! semantic outcomes — `crates/verify/tests/backend_equivalence.rs` and
 //! the `ix_fuzz --backend native` arm enforce that permanently.

@@ -635,7 +635,7 @@ impl PagedTree {
     }
 
     #[inline]
-    fn path_with<T>(
+    pub(crate) fn path_with<T>(
         &mut self,
         from: NodeId,
         key: Key,
@@ -669,7 +669,7 @@ impl PagedTree {
     }
 
     #[inline]
-    fn chain_with<T>(
+    pub(crate) fn chain_with<T>(
         &mut self,
         first: NodeId,
         hops: u32,

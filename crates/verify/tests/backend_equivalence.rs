@@ -20,7 +20,13 @@
 //!   binary prints — `ci.sh` diffs the binary's output against the same
 //!   golden, which keeps this file's row formatting honest);
 //! - worker count (`shards` 1 vs 4) must not change a single row, and a
-//!   finite shard grain must shard both backends identically.
+//!   finite shard grain must shard both backends identically;
+//! - on the CRUD mix, the cache-side event sequences of `metal-ix` and
+//!   `metal` must be identical event for event, at widths 1 and 8.
+//!
+//! Both backends run one cache-decision kernel (`metal_core::decide`),
+//! so what this file guards is the rest: the two storage layers, the two
+//! adapters around the kernel, and timing.
 //!
 //! Regenerate after an intentional model change with:
 //!
@@ -28,13 +34,15 @@
 //! METAL_UPDATE_GOLDENS=1 cargo test -p metal-verify --test backend_equivalence
 //! ```
 
-use metal_core::models::DesignSpec;
-use metal_core::runner::{run_design, Backend, RunConfig, RunReport};
+use metal_core::models::{DesignSpec, Experiment};
+use metal_core::runner::{run_design, Backend, ObsConfig, RunConfig, RunReport, ShardCtx};
 use metal_core::IxConfig;
+use metal_sim::obs::{shared, Event, EventSink};
 use metal_workloads::crud::uniform_std_v1;
 use metal_workloads::drift::drift_hotspot_v1;
 use metal_workloads::{BuiltWorkload, Scale, Workload};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 const CACHE_BYTES: usize = 64 * 1024;
 
@@ -281,5 +289,76 @@ fn sharded_streams_shard_identically_through_both_backends() {
             semantics(&native),
             "{name}: sharded backend divergence"
         );
+    }
+}
+
+/// Collects a run's cache-side events (probes, admissions, fills,
+/// coalesces, evictions, splits, invalidations, tuner decisions) with
+/// their timestamps stripped; the walk, fetch and breakdown events each
+/// backend times its own way are dropped.
+struct CacheEvents(Arc<Mutex<Vec<Event>>>);
+
+impl EventSink for CacheEvents {
+    fn emit(&mut self, _at: u64, ev: &Event) {
+        if !matches!(
+            ev,
+            Event::WalkStart { .. }
+                | Event::WalkEnd { .. }
+                | Event::WalkBreakdown { .. }
+                | Event::DramFetch { .. }
+        ) {
+            self.0.lock().unwrap().push(*ev);
+        }
+    }
+}
+
+/// The cache-side event sequence of one run (a single logical shard, so
+/// the sequence is totally ordered).
+fn cache_events(spec: &DesignSpec, exp: &Experiment<'_>, cfg: RunConfig) -> Vec<Event> {
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink_events = events.clone();
+    let cfg = cfg.with_obs(ObsConfig {
+        sink_factory: Some(Arc::new(move |_: &ShardCtx| {
+            Some(shared(CacheEvents(sink_events.clone())))
+        })),
+        ..ObsConfig::default()
+    });
+    run_design(spec, exp, &cfg);
+    let out = events.lock().unwrap().clone();
+    out
+}
+
+#[test]
+fn backends_emit_identical_cache_event_sequences() {
+    // Equal counters would also pass an adapter that reorders emission;
+    // this compares the decisions themselves, in order.
+    let built = uniform_std_v1(Scale::ci(), 30);
+    let exp = built.experiment();
+    for (name, spec) in native_designs(&built) {
+        if name == "stream" {
+            continue;
+        }
+        for width in [1usize, 8] {
+            let cfg = RunConfig::default()
+                .with_lanes(built.tiles)
+                .with_mlp_width(width);
+            let sim = cache_events(&spec, &exp, cfg.clone());
+            let native = cache_events(&spec, &exp, cfg.with_backend(Backend::Native));
+            assert!(
+                sim.iter().any(|e| matches!(e, Event::Evict { .. }))
+                    && sim.iter().any(|e| matches!(e, Event::Invalidate { .. })),
+                "{name}: the CRUD mix must exercise eviction and invalidation"
+            );
+            if let Some(i) = (0..sim.len().max(native.len())).find(|&i| sim.get(i) != native.get(i))
+            {
+                panic!(
+                    "{name} at width {width}: cache event {i} of {}/{} differs\n  sim:    {:?}\n  native: {:?}",
+                    sim.len(),
+                    native.len(),
+                    sim.get(i),
+                    native.get(i)
+                );
+            }
+        }
     }
 }
