@@ -21,16 +21,8 @@
 //! `backend_equivalence` suite pins this); the CSV carries the
 //! found/probe/miss counters so the golden also catches any width that
 //! changes semantics.
-//!
-//! After the sweep, each design's best measured native win over its
-//! serial run is compared against the `metal_bench::gate` noise floor
-//! for native throughput: at bench scale the pipelined window must
-//! clear it (a real win, not scheduler jitter); the verdict is printed
-//! per design.
 
-use metal_bench::{
-    csv_row, f3, fig_mlp_header, fig_mlp_row, gate, HarnessArgs, Session, MLP_WIDTHS,
-};
+use metal_bench::{csv_row, f3, fig_mlp_header, fig_mlp_row, HarnessArgs, Session, MLP_WIDTHS};
 use metal_core::models::DesignSpec;
 use metal_core::native::supports_native;
 use metal_core::runner::{run_design, Backend, RunReport};
@@ -67,8 +59,6 @@ fn main() {
         for (name, spec) in native_designs(&built, args.cache_bytes) {
             let mut serial_sim: Option<RunReport> = None;
             let mut serial_wps = 0.0f64;
-            let mut best_win = f64::NEG_INFINITY;
-            let mut best_width = 1;
             for width in MLP_WIDTHS {
                 let scope = format!("{}/{name}@w{width}", built.name);
                 // As in fig_native: the two backends must not share a
@@ -96,9 +86,6 @@ fn main() {
                     let wps = m.walks_per_sec();
                     if width == 1 {
                         serial_wps = wps;
-                    } else if wps - serial_wps > best_win {
-                        best_win = wps - serial_wps;
-                        best_width = width;
                     }
                     eprintln!(
                         "# measured {}/{name}@w{width}: {} walks/s \
@@ -114,16 +101,6 @@ fn main() {
                     );
                 }
             }
-            // The headline claim: is the pipelined window's measured win
-            // a real one? Judged against the same absolute noise floor
-            // the perf gate uses for native throughput.
-            let floor = gate::noise_floor("native_walks_per_sec.");
-            let verdict = if best_win > floor { "clears" } else { "within" };
-            eprintln!(
-                "# native win {}/{name}: {:+.0} walks/s at w{best_width} \
-                 ({verdict} the {floor:.0} walks/s gate noise floor)",
-                built.name, best_win
-            );
         }
     }
     session.finish();

@@ -12,7 +12,8 @@
 //!
 //! Measured execution numbers (walks/sec, page faults, hot-map hit
 //! split) go to stderr `#`-comments so the CSV stays pinnable; the same
-//! numbers reach `BENCH.json` via `bench_suite` and the HTML report.
+//! numbers reach the run manifest (`--metrics-out`) and `analyze`'s HTML
+//! report.
 //!
 //! Extra flags (on top of the shared harness flags):
 //!

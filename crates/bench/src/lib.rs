@@ -10,7 +10,6 @@
 //! the paper's expectation, so the harness output is both human-checkable
 //! and machine-parsable.
 
-pub mod gate;
 pub mod micro;
 
 use metal_core::models::DesignSpec;
@@ -36,8 +35,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Process exit codes shared by every harness binary (`analyze`,
-/// `trace_dump`, `bench_suite`, the figure binaries). The full table is
-/// documented in PERFORMANCE.md.
+/// `trace_dump`, the figure binaries). The full table is documented in
+/// PERFORMANCE.md.
 pub mod exit {
     /// Success.
     pub const OK: i32 = 0;
@@ -47,11 +46,6 @@ pub mod exit {
     /// Usage or I/O error: bad flags, unreadable/unwritable paths,
     /// malformed trace lines ([`crate::fail`] exits with this).
     pub const USAGE_IO: i32 = 2;
-    /// A structurally malformed schema-tagged document (baseline or
-    /// output of the wrong shape/version).
-    pub const SCHEMA: i32 = 3;
-    /// A tracked performance regression past the gate threshold.
-    pub const REGRESSION: i32 = 4;
 }
 
 /// Prints a contextful error and exits with [`exit::USAGE_IO`]. The
@@ -297,8 +291,8 @@ fn print_usage() {
          Environment: METAL_SHARDS (worker-thread default),\n\
          METAL_HEARTBEAT_SECS (progress heartbeat; 0 disables).\n\
          \n\
-         The full CLI reference lives in README.md; the tracked performance\n\
-         baseline and bench_suite workflow are documented in PERFORMANCE.md."
+         The full CLI reference lives in README.md; how speed is measured\n\
+         (the repository benchmark, benchmark/run.sh) is in PERFORMANCE.md."
     );
 }
 
