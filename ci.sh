@@ -2,8 +2,9 @@
 # CI entry point: lints, tier-1 verify, the full test suite
 # single-threaded, a sharded-replay smoke test (worker count must never
 # change the figure CSV, with and without an explicit logical-shard
-# grain), a telemetry smoke test (the trace must parse and agree with
-# the run manifest), a forensics gate (the `analyze` report must
+# grain), a telemetry smoke test (every trace line must parse into a
+# typed event and `analyze --check-hits` must agree with the run
+# manifest; a truncated line must exit 2), a forensics gate (the `analyze` report must
 # pass its schema/conservation validation on a real fig15 trace), a
 # time-resolved telemetry gate (per-epoch window sums must conserve and
 # the series must be worker-count invariant), and a native-execution
@@ -70,7 +71,7 @@ fi
 echo "shard-walks=512: CSV identical across worker counts"
 
 echo "== telemetry smoke: fig20_breakdown --trace-out / --metrics-out =="
-cargo build --release -p metal-bench --bin fig20_breakdown --bin trace_dump
+cargo build --release -p metal-bench --bin fig20_breakdown --bin analyze
 tdir=$(mktemp -d)
 trap 'rm -f "$out1" "$out4"; rm -rf "$tdir"' EXIT
 # A traced run must produce the same CSV as an untraced one…
@@ -86,8 +87,8 @@ fi
 echo "tracing does not perturb the CSV"
 # …every trace line must parse, and the per-level hit counts derived
 # from raw probe events must match the manifest's statistics exactly.
-./target/release/trace_dump "$tdir/trace.jsonl" \
-    --check-hits "$tdir/manifest.json" > "$tdir/dump.txt"
+./target/release/analyze "$tdir/trace.jsonl" --manifest "$tdir/manifest.json" \
+    --check-hits --out "$tdir/trace.A.json" > "$tdir/dump.txt"
 grep -q "check-hits: per-level hit counts match" "$tdir/dump.txt"
 echo "trace parses; trace-derived hit levels match the manifest"
 
@@ -97,35 +98,61 @@ for fig in fig15_miss_rate fig24_design_sweep; do
     ./target/release/"$fig" --scale ci \
         --trace-out "$tdir/$fig.jsonl" --metrics-out "$tdir/$fig.manifest.json" \
         > /dev/null
-    ./target/release/trace_dump "$tdir/$fig.jsonl" \
-        --check-hits "$tdir/$fig.manifest.json" > "$tdir/$fig.dump.txt"
+    ./target/release/analyze "$tdir/$fig.jsonl" --manifest "$tdir/$fig.manifest.json" \
+        --check-hits --out "$tdir/$fig.A.json" > "$tdir/$fig.dump.txt"
     grep -q "check-hits: per-level hit counts match" "$tdir/$fig.dump.txt"
     echo "$fig: trace-derived hit levels match the manifest"
 done
-# Negative control: a corrupted trace (one forged probe hit) must make
-# trace_dump exit nonzero, or the checks above prove nothing.
+# Negative control: a corrupted trace (one forged probe hit, carrying
+# every field the writer emits so it parses) must make analyze exit 1,
+# or the checks above prove nothing.
 cp "$tdir/fig15_miss_rate.jsonl" "$tdir/forged.jsonl"
-printf '%s\n' '{"ev":"ix_probe","run":"scan","design":"metal-ix","shard":0,"index":0,"set":0,"level":0,"hit":true,"scan":false,"short_circuit":1}' \
+printf '%s\n' '{"ev":"ix_probe","run":"scan","design":"metal-ix","shard":0,"at":0,"index":0,"key":0,"set":0,"level":0,"hit":true,"scan":false,"short_circuit":1,"entry":0}' \
     >> "$tdir/forged.jsonl"
-if ./target/release/trace_dump "$tdir/forged.jsonl" \
-    --check-hits "$tdir/fig15_miss_rate.manifest.json" > "$tdir/forged.txt"; then
-    echo "FAIL: trace_dump exited 0 on a forged trace/manifest mismatch" >&2
+set +e
+./target/release/analyze "$tdir/forged.jsonl" --manifest "$tdir/fig15_miss_rate.manifest.json" \
+    --check-hits --out "$tdir/forged.A.json" > "$tdir/forged.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+    echo "FAIL: analyze should exit 1 on a forged trace/manifest mismatch, got $rc" >&2
     exit 1
 fi
 grep -q "MISMATCH" "$tdir/forged.txt"
-echo "negative control: forged trace fails check-hits with nonzero exit"
+echo "negative control: forged trace fails check-hits with exit 1"
 # Second negative control: a forged admission event leaves the hit counts
 # intact but must trip the reason-counter diff re-derived from the trace.
 cp "$tdir/fig15_miss_rate.jsonl" "$tdir/forged_reason.jsonl"
-printf '%s\n' '{"ev":"insert","run":"scan","design":"metal-ix","shard":0,"index":0,"level":0,"set":0,"life":64,"reason":"node-level"}' \
+printf '%s\n' '{"ev":"insert","run":"scan","design":"metal-ix","shard":0,"at":0,"index":0,"level":0,"set":0,"life":64,"reason":"node-level"}' \
     >> "$tdir/forged_reason.jsonl"
-if ./target/release/trace_dump "$tdir/forged_reason.jsonl" \
-    --check-hits "$tdir/fig15_miss_rate.manifest.json" > "$tdir/forged_reason.txt"; then
-    echo "FAIL: trace_dump exited 0 on a forged insert-reason counter" >&2
+set +e
+./target/release/analyze "$tdir/forged_reason.jsonl" \
+    --manifest "$tdir/fig15_miss_rate.manifest.json" \
+    --check-hits --out "$tdir/forged_reason.A.json" > "$tdir/forged_reason.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+    echo "FAIL: analyze should exit 1 on a forged insert-reason counter, got $rc" >&2
     exit 1
 fi
 grep -q "MISMATCH inserts_by_reason" "$tdir/forged_reason.txt"
-echo "negative control: forged reason counter fails check-reasons with nonzero exit"
+echo "negative control: forged reason counter fails check-reasons with exit 1"
+# Third negative control: a truncated line (a writer killed mid-line)
+# is a malformed trace, not a short one: analyze must exit 2 naming the
+# file and line, never panic and never skip it.
+sed '1000s/.\{10\}$//' "$tdir/fig15_miss_rate.jsonl" > "$tdir/truncated.jsonl"
+set +e
+./target/release/analyze "$tdir/truncated.jsonl" --out "$tdir/truncated.A.json" \
+    > /dev/null 2> "$tdir/truncated.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 2 ]; then
+    echo "FAIL: a truncated trace line should exit 2 (usage/IO), got $rc" >&2
+    cat "$tdir/truncated.txt" >&2
+    exit 1
+fi
+grep -q "truncated.jsonl: line 1000: bad JSON" "$tdir/truncated.txt"
+echo "negative control: truncated trace line fails with exit 2 naming file and line"
 
 echo "== forensics: analyze the fig15 trace + schema gate =="
 # The offline analyzer must digest the ci-scale fig15 trace into a
@@ -197,21 +224,25 @@ cargo build --release -p metal-bench --bin fig_write_sweep
 ./target/release/fig_write_sweep --scale ci --write-ratio 25 \
     --trace-out "$tdir/wsweep.jsonl" --metrics-out "$tdir/wsweep.manifest.json" \
     > "$tdir/wsweep.csv"
-./target/release/trace_dump "$tdir/wsweep.jsonl" \
-    --check-hits "$tdir/wsweep.manifest.json" > "$tdir/wsweep.dump.txt"
+./target/release/analyze "$tdir/wsweep.jsonl" --manifest "$tdir/wsweep.manifest.json" \
+    --check-hits --out "$tdir/wsweep.A.json" > "$tdir/wsweep.dump.txt"
 grep -q "check-hits: per-level hit counts match" "$tdir/wsweep.dump.txt"
 echo "mutated run: trace-derived hit levels match the manifest"
 # Negative control: hand-corrupt the mutated trace by forging one probe
 # miss into a stale hit. check-hits must fail, or the reconciliation
 # above proves nothing about the invalidation protocol.
 sed '0,/"hit":false/s//"hit":true/' "$tdir/wsweep.jsonl" > "$tdir/wsweep_forged.jsonl"
-if ./target/release/trace_dump "$tdir/wsweep_forged.jsonl" \
-    --check-hits "$tdir/wsweep.manifest.json" > "$tdir/wsweep_forged.txt"; then
-    echo "FAIL: trace_dump exited 0 on a forged stale hit in a mutated trace" >&2
+set +e
+./target/release/analyze "$tdir/wsweep_forged.jsonl" --manifest "$tdir/wsweep.manifest.json" \
+    --check-hits --out "$tdir/wsweep_forged.A.json" > "$tdir/wsweep_forged.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+    echo "FAIL: analyze should exit 1 on a forged stale hit in a mutated trace, got $rc" >&2
     exit 1
 fi
 grep -q "MISMATCH" "$tdir/wsweep_forged.txt"
-echo "negative control: forged stale hit fails check-hits with nonzero exit"
+echo "negative control: forged stale hit fails check-hits with exit 1"
 
 echo "== time-resolved telemetry: window conservation + shard invariance =="
 # Epoch-windowed series (--epoch): per-window counters must sum exactly
@@ -356,14 +387,13 @@ if ! diff -q "$tdir/breakdown.csv" "$tdir/breakdown_traced.csv" > /dev/null; the
 fi
 echo "tracing does not perturb the breakdown CSV"
 ./target/release/analyze "$tdir/bkdn.jsonl" \
-    --manifest "$tdir/bkdn.manifest.json" --out "$tdir/BKDN.json" > /dev/null
+    --manifest "$tdir/bkdn.manifest.json" --out "$tdir/BKDN.json" > "$tdir/bkdn.txt"
 ./target/release/analyze --validate "$tdir/BKDN.json"
 grep -q '"schema":"metal-breakdown-v1"' "$tdir/BKDN.json"
 echo "breakdown conservation rows validate on a traced run"
 # The offline reducer must render the same attribution from raw events.
-./target/release/trace_dump "$tdir/bkdn.jsonl" --breakdown > "$tdir/bkdn.txt"
 grep -q "cycles attributed" "$tdir/bkdn.txt"
-echo "trace_dump --breakdown renders the attribution table"
+echo "analyze renders the attribution table"
 # Negative control: inflate the first design's stall component; the
 # validator must go red naming the broken partition identity, or the
 # conservation rows above prove nothing.
@@ -388,7 +418,7 @@ docfail=0
 # Binary-shaped identifiers (fig*/table*/abl_* plus the named tools):
 # each must be a bin target, a pinned golden, or a real identifier.
 for name in $(grep -ohE '\b(fig|table|abl)[a-z0-9]*_[a-z0-9_]+\b' $docs \
-              | sort -u) analyze trace_dump ix_fuzz; do
+              | sort -u) analyze ix_fuzz; do
     if ls crates/*/src/bin/"$name".rs > /dev/null 2>&1; then continue; fi
     if [ -e "tests/goldens/$name.csv" ]; then continue; fi
     if grep -rqF "$name" crates/ tests/ ./*.sh; then continue; fi

@@ -1,29 +1,37 @@
-//! `analyze` — offline forensic report generator for `--trace-out`
-//! JSONL event traces.
+//! `analyze` — the one offline reader of `--trace-out` JSONL event
+//! traces.
 //!
-//! Demultiplexes the trace into its (run, design, shard) streams —
-//! order matters *within* a stream (reuse distances, regret windows) but
-//! never across streams — replays each through the same
-//! [`metal_obs::StreamAnalyzer`] core the in-process `--analyze-out`
-//! path uses, merges the per-stream reductions by design, and writes:
-//!
-//! - a schema-tagged, associatively merged `ANALYSIS.json`
-//!   (`metal-analysis-v1`), self-validated before writing;
-//! - a self-contained single-file HTML report (inline SVG reuse/regret
-//!   histograms, per-set occupancy heatmap, tuner-decision timeline).
+//! [`metal_obs::replay`] parses each line back into its typed event,
+//! splits the trace into its (run, design, shard) streams — order
+//! matters *within* a stream (reuse distances, regret windows), never
+//! across — and feeds each to the same [`metal_obs::StreamAnalyzer`] and
+//! [`metal_obs::MetricsSnapshot`] reducers the in-process sinks use.
+//! `analyze` then prints event counts by kind, the ten hottest IX-cache
+//! sets, the short-circuit depths of non-scan hits, the admission /
+//! bypass / eviction reason counters, the tuner timeline and, when the
+//! trace carries `walk_breakdown` events, the cycle-accounting table;
+//! and it writes a schema-tagged, self-validated `ANALYSIS.json`
+//! (`metal-analysis-v1`) plus a self-contained HTML report (inline SVG
+//! reuse/regret histograms, per-set occupancy heatmap, tuner timeline).
 //!
 //! With `--manifest <manifest.json>` the miss-taxonomy reference cache
 //! is sized from the run's recorded `cache_bytes` argument; otherwise
-//! the harness default (64 KiB) is assumed. When the manifest carries
-//! native-backend reports (measured walks/sec, page I/O), the HTML
-//! report additionally gains a measured-vs-modeled table pairing them
-//! with the simulator's numbers for the same runs.
+//! the harness default (64 KiB) is assumed. Native-backend reports in
+//! the manifest add a measured-vs-modeled table to the HTML report.
+//!
+//! `--check-hits` (needs `--manifest`) diffs the per-level non-scan hit
+//! counts rebuilt from the trace against the manifest's `hit_levels` —
+//! two independent paths through the simulator that must agree exactly
+//! — and, when the manifest carries `--metrics-out` event metrics, the
+//! reason counters too. It reports before anything is written, and a
+//! mismatch exits 1. It is a flag because a trace may mix runs under one
+//! (workload, design) label (`fig_native`'s sim and native runs).
 //!
 //! With `--epoch SPEC` (`cycles:N` / `walks:M`) every stream is also
-//! sliced into deterministic telemetry windows: the document gains a
-//! per-design `series` section (window-sum conserved against the
-//! whole-run aggregates), and the anomaly watchdogs run over it,
-//! appending an `alerts` section when one fires.
+//! sliced into deterministic telemetry windows: `analyze` prints a
+//! per-epoch table per design, the document gains a window-sum conserved
+//! `series` section, and the anomaly watchdogs run over it, appending an
+//! `alerts` section when one fires.
 //!
 //! `analyze --validate <ANALYSIS.json>` instead checks an existing
 //! document: schema tag, required per-design sections, and the
@@ -36,49 +44,63 @@
 //! multi-gigabyte traces replay in constant memory.
 //!
 //! Exit codes follow the harness-wide table in PERFORMANCE.md: 0 ok,
-//! 1 validation failure, 2 usage/I-O error.
+//! 1 validation or cross-check failure, 2 usage/I-O error or a malformed
+//! trace line (named by file and line number).
 //!
 //! Run: `cargo run -p metal-bench --bin analyze -- trace.jsonl
-//!       [--manifest manifest.json] [--out ANALYSIS.json] [--html report.html]`
+//!       [--manifest manifest.json [--check-hits]] [--epoch walks:M]`
 
 use metal_bench::{exit, fail};
+use metal_obs::breakdown::COMPONENTS;
 use metal_obs::watchdog::{analysis_document, scan_analysis, WatchdogConfig};
 use metal_obs::{
-    render_html_with_measured, validate_analysis, validate_analysis_gated, Json, JsonlReader,
-    MeasuredRow, StreamAnalyzer, TraceAnalysis,
+    render_html_with_measured, replay, validate_analysis, validate_analysis_gated, Json,
+    JsonlReader, MeasuredRow, MetricsSnapshot, Replay, TraceAnalysis,
 };
 use metal_sim::epoch::EpochSpec;
+use metal_sim::obs::WIDE_SET;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// How many of the hottest IX-cache sets the summary lists.
+const TOP_SETS: usize = 10;
+
 fn help() -> ExitCode {
     println!(
-        "analyze: build a forensic report from a --trace-out JSONL event trace\n\
+        "analyze: summarize and report on a --trace-out JSONL event trace\n\
          \n\
-         Usage: analyze <trace.jsonl> [--manifest <manifest.json>]\n\
+         Usage: analyze <trace.jsonl> [--manifest <manifest.json> [--check-hits]]\n\
          \x20                         [--out <ANALYSIS.json>] [--html <report.html>]\n\
          \x20                         [--epoch <cycles:N|walks:M>] [--deny-alerts]\n\
          \x20      analyze --validate <ANALYSIS.json> [--deny-alerts]\n\
          \n\
-         Replays every (run, design, shard) stream of the trace through the\n\
-         entry ledger, reuse-distance profiler, miss taxonomy and eviction-\n\
-         regret meter, merges per design, and writes a schema-tagged\n\
-         ANALYSIS.json (default: ANALYSIS.json next to the trace) plus a\n\
-         self-contained HTML report (default: the output path with an .html\n\
-         extension). --manifest sizes the taxonomy's fully-associative\n\
-         reference from the run's recorded cache_bytes.\n\
+         Replays every (run, design, shard) stream of the trace and prints\n\
+         event counts by kind, the hottest IX-cache sets, the short-circuit\n\
+         depth distribution, admission/eviction reason counters, the tuner\n\
+         decision timeline and, when the trace has walk_breakdown events, the\n\
+         cycle-accounting table. It folds the entry ledger, reuse-distance\n\
+         profiler, miss taxonomy and eviction-regret meter per design and\n\
+         writes a schema-tagged ANALYSIS.json (default: ANALYSIS.json next to\n\
+         the trace) plus a self-contained HTML report (default: the output\n\
+         path with an .html extension). --manifest sizes the taxonomy's\n\
+         fully-associative reference from the run's recorded cache_bytes.\n\
+         \n\
+         --check-hits cross-checks the trace's per-level hit counts and\n\
+         reason counters against the --manifest run manifest and exits 1 on\n\
+         a mismatch, before writing anything.\n\
          \n\
          --epoch slices each stream into deterministic telemetry windows:\n\
-         the document gains a per-design 'series' section and the anomaly\n\
-         watchdogs (hit-rate collapse, scan storm, regret spike) run over\n\
-         it, appending an 'alerts' section when one fires. --deny-alerts\n\
-         turns any alert into a validation failure (exit 1).\n\
+         it prints a per-epoch table per design, the document gains a\n\
+         per-design 'series' section and the anomaly watchdogs (hit-rate\n\
+         collapse, scan storm, regret spike) run over it, appending an\n\
+         'alerts' section when one fires. --deny-alerts turns any alert into\n\
+         a validation failure (exit 1).\n\
          \n\
          --validate checks an existing ANALYSIS.json instead: schema tag,\n\
          required sections, and conservation invariants (including window\n\
          sums vs whole-run aggregates); exits non-zero on the first\n\
-         violation.\n\
+         violation. A malformed trace line exits 2, naming file and line.\n\
          \n\
          Traces, manifests and the analysis schema are documented in\n\
          README.md's Telemetry section and DESIGN.md §8."
@@ -88,8 +110,8 @@ fn help() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: analyze <trace.jsonl> [--manifest <m.json>] [--out <a.json>] [--html <r.html>]\n\
-         \x20              [--epoch <cycles:N|walks:M>] [--deny-alerts]\n\
+        "usage: analyze <trace.jsonl> [--manifest <m.json> [--check-hits]] [--out <a.json>]\n\
+         \x20              [--html <r.html>] [--epoch <cycles:N|walks:M>] [--deny-alerts]\n\
          \x20      analyze --validate <ANALYSIS.json> [--deny-alerts]"
     );
     ExitCode::from(exit::USAGE_IO as u8)
@@ -168,6 +190,240 @@ fn measured_rows(manifest: &Json) -> Vec<MeasuredRow> {
     rows
 }
 
+/// The summary sections over every stream (`total`): counts by kind,
+/// hottest sets, short-circuit depths, reason counters and the tuner
+/// timeline.
+fn print_summary(rep: &Replay, total: &MetricsSnapshot) {
+    println!();
+    println!("## events by kind");
+    for (kind, n) in &total.events_by_kind {
+        println!("{kind:>16}  {n}");
+    }
+
+    println!();
+    println!("## top {TOP_SETS} hottest sets by probe count (index, set)");
+    let mut sets: Vec<_> = total.probes_by_set.iter().collect();
+    sets.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
+    for (&(index, set), n) in sets.into_iter().take(TOP_SETS) {
+        let label = if set == WIDE_SET {
+            "wide".to_string()
+        } else {
+            set.to_string()
+        };
+        println!("index {index} set {label:>6}  {n}");
+    }
+
+    println!();
+    println!("## short-circuit depth distribution (non-scan hits)");
+    for (depth, n) in &total.short_circuit_depths {
+        println!("skip {depth:>2} levels  {n}");
+    }
+
+    println!();
+    println!("## admission / eviction reasons");
+    for (reason, n) in &total.inserts_by_reason {
+        println!("insert {reason:>14}  {n}");
+    }
+    for (reason, n) in &total.bypasses_by_reason {
+        println!("bypass {reason:>14}  {n}");
+    }
+    for (reason, n) in &total.evictions_by_reason {
+        println!("evict  {reason:>14}  {n}");
+    }
+
+    let mut tuner: Vec<(u64, String)> = Vec::new();
+    for ((run, design, shard), m) in &rep.metrics {
+        for d in &m.tuner_decisions {
+            tuner.push((
+                d.at,
+                format!(
+                    "at={} run={run} design={design} shard={shard} index={} batch={} {}: {} -> {}",
+                    d.at, d.index, d.batch, d.param, d.from, d.to
+                ),
+            ));
+        }
+    }
+    tuner.sort();
+    println!();
+    println!("## tuner decision timeline ({} decisions)", tuner.len());
+    for (_, line) in &tuner {
+        println!("{line}");
+    }
+}
+
+/// The per-design cycle-accounting table, when any stream carried
+/// `walk_breakdown` events.
+fn print_breakdown(analysis: &TraceAnalysis) {
+    if analysis.designs.values().all(|d| d.breakdown.is_none()) {
+        return;
+    }
+    for (design, d) in &analysis.designs {
+        println!();
+        let Some(b) = &d.breakdown else {
+            println!("## breakdown {design}: trace carries no walk_breakdown events");
+            continue;
+        };
+        println!(
+            "## breakdown {design} ({} walks, {} cycles attributed)",
+            b.walks, b.latency_total
+        );
+        println!("{:>10} {:>14} {:>7}", "component", "cycles", "share");
+        let total = b.cycles_total().max(1);
+        for (name, &cycles) in COMPONENTS.iter().zip(b.cycles.iter()) {
+            println!(
+                "{name:>10} {cycles:>14} {:>6.1}%",
+                100.0 * cycles as f64 / total as f64
+            );
+        }
+        println!("{:>10} {:>14} {:>6.1}%", "total", b.cycles_total(), 100.0);
+    }
+}
+
+/// The per-epoch table of every windowed design (`--epoch`).
+fn print_epochs(analysis: &TraceAnalysis) {
+    for (design, d) in &analysis.designs {
+        let Some(series) = &d.series else { continue };
+        println!();
+        println!(
+            "## timeline {design} (epoch width {}, {} windows)",
+            series.spec.render(),
+            series.windows.len()
+        );
+        println!(
+            "{:>8} {:>9} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
+            "epoch",
+            "walks",
+            "probes",
+            "hit%",
+            "misses",
+            "fills",
+            "evicts",
+            "regret",
+            "stall%",
+            "comp%",
+            "queue%"
+        );
+        for (epoch, w) in &series.windows {
+            let pct = |part: u64, whole: u64| {
+                if whole == 0 {
+                    "-".to_string()
+                } else {
+                    format!("{:.1}", 100.0 * part as f64 / whole as f64)
+                }
+            };
+            // Shares of the window's attributed cycles — the same
+            // columns the series JSON and breakdown section conserve.
+            let cycles = w.ix_probe_cycles
+                + w.compute_cycles
+                + w.queue_cycles
+                + w.stall_cycles
+                + w.hidden_cycles;
+            println!(
+                "{epoch:>8} {:>9} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
+                w.walks,
+                w.probes,
+                pct(w.hits_total(), w.probes),
+                w.misses,
+                w.fills,
+                w.evictions_total(),
+                w.regretted,
+                pct(w.stall_cycles, cycles),
+                pct(w.compute_cycles, cycles),
+                pct(w.queue_cycles, cycles),
+            );
+        }
+    }
+}
+
+/// Cross-checks the trace's per-level non-scan hit counts against the
+/// manifest's `hit_levels`, per (workload, design) report. Returns the
+/// number of mismatches.
+fn check_hits(rep: &Replay, manifest: &Json) -> u64 {
+    let Some(reports) = manifest.get("reports").and_then(Json::as_arr) else {
+        eprintln!("check-hits: manifest has no reports array");
+        return 1;
+    };
+    let mut by_run: BTreeMap<(&str, &str), BTreeMap<u8, u64>> = BTreeMap::new();
+    for ((run, design, _), m) in &rep.metrics {
+        let levels = by_run.entry((run, design)).or_default();
+        for (&level, &n) in &m.hits_by_level {
+            *levels.entry(level).or_insert(0) += n;
+        }
+    }
+    let (mut mismatches, none) = (0, BTreeMap::new());
+    for report in reports {
+        let label = |k: &str| report.get(k).and_then(Json::as_str).unwrap_or("?");
+        let (workload, design) = (label("workload"), label("design"));
+        let levels: Vec<u64> = report
+            .get("stats")
+            .and_then(|s| s.get("hit_levels"))
+            .and_then(Json::as_arr)
+            .map(|a| a.iter().filter_map(Json::as_u64).collect())
+            .unwrap_or_default();
+        let traced = by_run.get(&(workload, design)).unwrap_or(&none);
+        let depth = levels
+            .len()
+            .max(traced.keys().next_back().map_or(0, |&l| l as usize + 1));
+        for level in 0..depth {
+            let want = levels.get(level).copied().unwrap_or(0);
+            let got = traced.get(&(level as u8)).copied().unwrap_or(0);
+            if want != got {
+                mismatches += 1;
+                println!(
+                    "MISMATCH {workload}/{design} level {level}: manifest {want}, trace {got}"
+                );
+            }
+        }
+    }
+    if mismatches == 0 {
+        println!(
+            "check-hits: per-level hit counts match for all {} reports",
+            reports.len()
+        );
+    }
+    mismatches
+}
+
+/// Cross-checks the trace's admission/bypass/eviction reason counters
+/// (`total`) against the manifest's aggregated event metrics. Returns
+/// the number of mismatches; skips (returning 0) when the manifest has
+/// no metrics.
+fn check_reasons(total: &MetricsSnapshot, manifest: &Json) -> u64 {
+    let Some(metrics) = manifest.get("metrics") else {
+        println!("check-reasons: manifest has no metrics block (run with --metrics-out); skipped");
+        return 0;
+    };
+    let mut mismatches = 0;
+    for (key, traced) in [
+        ("inserts_by_reason", &total.inserts_by_reason),
+        ("bypasses_by_reason", &total.bypasses_by_reason),
+        ("evictions_by_reason", &total.evictions_by_reason),
+    ] {
+        let want: BTreeMap<&str, u64> = match metrics.get(key) {
+            Some(Json::Obj(fields)) => fields
+                .iter()
+                .filter_map(|(k, v)| Some((k.as_str(), v.as_u64()?)))
+                .collect(),
+            _ => BTreeMap::new(),
+        };
+        let mut reasons: Vec<&str> = want.keys().chain(traced.keys()).copied().collect();
+        reasons.sort();
+        reasons.dedup();
+        for reason in reasons {
+            let w = want.get(reason).copied().unwrap_or(0);
+            let t = traced.get(reason).copied().unwrap_or(0);
+            if w != t {
+                mismatches += 1;
+                println!("MISMATCH {key}/{reason}: manifest {w}, trace {t}");
+            }
+        }
+    }
+    if mismatches == 0 {
+        println!("check-reasons: admission/bypass/eviction reason counters match the manifest");
+    }
+    mismatches
+}
+
 fn validate_mode(path: &PathBuf, deny_alerts: bool) -> ExitCode {
     let doc = read_json(path, "analysis");
     match validate_analysis_gated(&doc, deny_alerts) {
@@ -196,7 +452,7 @@ fn main() -> ExitCode {
     let mut html_path: Option<PathBuf> = None;
     let mut validate_path: Option<PathBuf> = None;
     let mut epoch: Option<EpochSpec> = None;
-    let mut deny_alerts = false;
+    let (mut deny_alerts, mut check) = (false, false);
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut path_arg = |flag: &str| match it.next() {
@@ -217,6 +473,7 @@ fn main() -> ExitCode {
                 );
             }
             "--deny-alerts" => deny_alerts = true,
+            "--check-hits" => check = true,
             p if trace_path.is_none() && !p.starts_with('-') => trace_path = Some(PathBuf::from(p)),
             _ => return usage(),
         }
@@ -231,17 +488,19 @@ fn main() -> ExitCode {
     let Some(trace_path) = trace_path else {
         return usage();
     };
+    if check && manifest_path.is_none() {
+        return usage();
+    }
 
     // The taxonomy's fully-associative reference is sized to the design
     // budget in 64 B blocks; the manifest records the run's actual
     // --cache-kb, the harness default applies otherwise. Native-backend
     // reports in the manifest additionally feed the measured-vs-modeled
     // table of the HTML report.
-    let mut measured: Vec<MeasuredRow> = Vec::new();
+    let mut manifest: Option<Json> = None;
     let budget_blocks = match &manifest_path {
         Some(p) => {
-            let manifest = read_json(p, "manifest");
-            measured = measured_rows(&manifest);
+            let manifest = manifest.insert(read_json(p, "manifest"));
             let field = manifest.get("args").and_then(|a| a.get("cache_bytes"));
             // Manifest args are recorded as strings; accept a plain
             // number too for hand-built manifests.
@@ -259,43 +518,44 @@ fn main() -> ExitCode {
         None => 64 * 1024 / 64,
     }
     .max(1);
+    let measured = manifest.as_ref().map_or(Vec::new(), measured_rows);
 
-    let mut reader = JsonlReader::open(&trace_path)
+    let reader = JsonlReader::open(&trace_path)
         .unwrap_or_else(|e| fail(format_args!("cannot open {}: {e}", trace_path.display())));
-    // One analyzer per (run, design, shard) stream; lines of one stream
-    // appear in emission order, so replay order is stream order. The
-    // reader streams line by line, so trace size never bounds memory.
-    let mut streams: BTreeMap<(String, String, u64), StreamAnalyzer> = BTreeMap::new();
-    let mut lines = 0u64;
-    loop {
-        let v = match reader.next_line() {
-            Ok(Some(v)) => v,
-            Ok(None) => break,
-            Err(e) => fail(format_args!("{}: {e}", trace_path.display())),
-        };
-        let label = |k: &str| v.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-        let shard = v.get("shard").and_then(Json::as_u64).unwrap_or(0);
-        streams
-            .entry((label("run"), label("design"), shard))
-            .or_insert_with(|| StreamAnalyzer::new(budget_blocks).with_epoch(epoch))
-            .observe_json(&v);
-        lines += 1;
-    }
-    if streams.is_empty() {
+    let rep = replay(reader, budget_blocks, epoch)
+        .unwrap_or_else(|e| fail(format_args!("{}: {e}", trace_path.display())));
+    if rep.events == 0 {
         fail(format_args!(
             "{}: no trace events found",
             trace_path.display()
         ));
     }
-
-    let n_streams = streams.len();
-    let mut analysis = TraceAnalysis::default();
-    for ((_, design, _), analyzer) in streams {
-        analysis.fold(&design, analyzer.finish());
+    let analysis = &rep.analysis;
+    println!(
+        "analyze: {} events in {} streams across {} designs",
+        rep.events,
+        rep.metrics.len(),
+        analysis.designs.len()
+    );
+    let mut total = MetricsSnapshot::default();
+    for m in rep.metrics.values() {
+        total.merge(m);
+    }
+    print_summary(&rep, &total);
+    print_breakdown(analysis);
+    print_epochs(analysis);
+    if check {
+        let manifest = manifest
+            .as_ref()
+            .expect("usage() rejects --check-hits alone");
+        println!();
+        if check_hits(&rep, manifest) + check_reasons(&total, manifest) > 0 {
+            return ExitCode::from(exit::VALIDATION as u8);
+        }
     }
 
     // Watchdogs only see windows, so without --epoch this is a no-op.
-    let alerts = scan_analysis(&analysis, &WatchdogConfig::default());
+    let alerts = scan_analysis(analysis, &WatchdogConfig::default());
     for a in &alerts {
         eprintln!(
             "analyze: ALERT [{}] {} at epoch {}: {}",
@@ -305,7 +565,7 @@ fn main() -> ExitCode {
             a.detail
         );
     }
-    let doc = analysis_document(&analysis, &alerts);
+    let doc = analysis_document(analysis, &alerts);
     if let Err(e) = validate_analysis(&doc) {
         fail(format_args!("analysis failed self-validation: {e}"));
     }
@@ -322,14 +582,11 @@ fn main() -> ExitCode {
     );
     std::fs::write(
         &html_path,
-        render_html_with_measured(&analysis, &title, &measured),
+        render_html_with_measured(analysis, &title, &measured),
     )
     .unwrap_or_else(|e| fail(format_args!("cannot write {}: {e}", html_path.display())));
 
-    println!(
-        "analyze: {lines} events in {n_streams} streams across {} designs",
-        analysis.designs.len()
-    );
+    println!();
     for (design, d) in &analysis.designs {
         println!(
             "  {design}: taxonomy compulsory={} capacity={} conflict={}, \

@@ -6,7 +6,7 @@
 //! `metal_workloads::drift`) under every figure design and prints the
 //! usual miss-rate/speedup CSV. The whole-run numbers are deliberately
 //! boring: the workload exists to be run with `--epoch`/`--series-out`
-//! (or replayed through `trace_dump --timeline`), where the hotspot
+//! (or replayed through `analyze --epoch`), where the hotspot
 //! jumps and storms show up as per-window hit-rate cliffs and
 //! scan-storm watchdog alerts that the aggregates average away.
 //!

@@ -34,8 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Process exit codes shared by every harness binary (`analyze`,
-/// `trace_dump`, the figure binaries). The full table is documented in
+/// Process exit codes shared by every harness binary (`analyze`, the
+/// figure binaries). The full table is documented in
 /// PERFORMANCE.md.
 pub mod exit {
     /// Success.
@@ -540,7 +540,7 @@ impl Session {
     /// A [`RunConfig`] for one simulation batch, wired to this session's
     /// sinks. `scope` labels the batch in traces and manifests (use
     /// `"workload"` or `"workload/variant"`); pass the same scope to
-    /// [`Session::record`] so `trace-dump --check-hits` can match trace
+    /// [`Session::record`] so `analyze --check-hits` can match trace
     /// events to manifest reports.
     pub fn config(&self, scope: &str) -> RunConfig {
         if let Ok(mut s) = self.hb_scope.lock() {

@@ -1,13 +1,13 @@
 //! Trace forensics: one analyzer per (run, design, shard) event stream,
 //! reduced to per-design aggregates that merge associatively.
 //!
-//! The same [`StreamAnalyzer`] core backs two paths:
+//! One [`StreamAnalyzer::observe_event`] serves two paths:
 //!
 //! - **in-process**: an [`AnalysisSink`] per shard feeds events straight
 //!   from the simulation (wired by the bench harness's `--analyze-out`);
-//! - **offline**: the `analyze` binary demultiplexes a JSONL trace by
-//!   its (run, design, shard) labels and replays each stream through
-//!   [`StreamAnalyzer::observe_json`].
+//! - **offline**: [`replay`] parses a JSONL trace back into typed events
+//!   ([`crate::jsonl::TraceLine`]), demultiplexes them by their (run,
+//!   design, shard) labels and feeds each stream the same way.
 //!
 //! Both reduce to the same [`DesignAnalysis`] values, so the offline
 //! report of a trace agrees bit-for-bit with the in-process one of the
@@ -21,13 +21,16 @@
 
 use crate::breakdown::{BreakdownAgg, BreakdownState, BREAKDOWN_SCHEMA, COMPONENTS};
 use crate::json::Json;
+use crate::jsonl::JsonlReader;
 use crate::ledger::{EntryLedger, LedgerSummary, RegretDelta, RegretMeter, RegretSummary};
+use crate::metrics::MetricsSnapshot;
 use crate::reuse::{LogHist, MissTaxonomy, ReuseProfiler, TaxonomyCounts};
 use crate::timeseries::TimeSeries;
 use metal_sim::epoch::{EpochClock, EpochSpec};
 use metal_sim::obs::{Event, EventSink};
 use metal_sim::types::BLOCK_BYTES;
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -322,85 +325,12 @@ impl StreamAnalyzer {
         self.series.as_ref().map(|s| s.last_epoch)
     }
 
-    /// Assigns the next event to its epoch (streams without windowing
-    /// skip this entirely).
-    fn assign_epoch(&mut self, at: u64, is_walk_end: bool) -> Option<u64> {
-        self.series.as_mut().map(|s| {
-            let e = s.clock.observe(at, is_walk_end);
-            s.last_epoch = e;
-            e
-        })
-    }
-
-    /// Adds one event (plus the regret verdicts its probe produced) to
-    /// its window.
-    fn window_event(&mut self, epoch: Option<u64>, ev: &Event, delta: RegretDelta) {
-        if let (Some(s), Some(e)) = (&mut self.series, epoch) {
-            let w = s.series.window_mut(e);
-            w.observe_event(ev);
-            w.regretted += delta.regretted;
-            w.vindicated += delta.vindicated;
-        }
-    }
-
-    fn probe(
-        &mut self,
-        index: u8,
-        key: u64,
-        hit: bool,
-        short_circuit: u64,
-        set: u32,
-        entry: u64,
-    ) -> RegretDelta {
-        *self.probes_by_set.entry((index, set)).or_insert(0) += 1;
-        if hit && entry != 0 {
-            self.ledger.probe_hit(entry, short_circuit);
-        }
-        self.regret.probe(index, key, hit, entry)
-    }
-
-    fn fill(&mut self, at: u64, index: u8, set: u32, entry: u64, pack: &str) {
-        *self.occupancy_by_set.entry((index, set)).or_insert(0) += 1;
-        self.ledger.fill(at, entry, pack);
-    }
-
-    fn evict(
-        &mut self,
-        at: u64,
-        index: u8,
-        set: u32,
-        entry: u64,
-        span: (u64, u64),
-        for_entry: u64,
-    ) {
-        *self.occupancy_by_set.entry((index, set)).or_insert(0) -= 1;
-        self.ledger.evict(at, entry);
-        self.regret.evict(index, span.0, span.1, entry, for_entry);
-    }
-
-    fn invalidate(&mut self, at: u64, index: u8, set: u32, entry: u64, killed: bool) {
-        // Partial invalidations shrink an entry in place: no retirement,
-        // no occupancy change.
-        if killed {
-            *self.occupancy_by_set.entry((index, set)).or_insert(0) -= 1;
-            self.ledger.invalidate(at, entry);
-            self.regret.invalidate(entry);
-        }
-    }
-
-    fn dram_fetch(&mut self, addr: u64) {
-        let block = addr / BLOCK_BYTES;
-        self.reuse.observe(block);
-        self.taxonomy.observe(block);
-    }
-
-    /// Feeds one in-process event.
+    /// Feeds one event.
     pub fn observe_event(&mut self, at: u64, ev: &Event) {
         *self
             .events_by_kind
             .entry(ev.kind().to_string())
             .or_insert(0) += 1;
-        let epoch = self.assign_epoch(at, matches!(ev, Event::WalkEnd { .. }));
         let mut delta = RegretDelta::default();
         match *ev {
             Event::IxProbe {
@@ -411,7 +341,13 @@ impl StreamAnalyzer {
                 set,
                 entry,
                 ..
-            } => delta = self.probe(index, key, hit, short_circuit as u64, set, entry),
+            } => {
+                *self.probes_by_set.entry((index, set)).or_insert(0) += 1;
+                if hit && entry != 0 {
+                    self.ledger.probe_hit(entry, short_circuit as u64);
+                }
+                delta = self.regret.probe(index, key, hit, entry);
+            }
             Event::Insert { reason, .. } => self.ledger.insert(reason.as_str()),
             Event::Fill {
                 index,
@@ -419,7 +355,10 @@ impl StreamAnalyzer {
                 entry,
                 pack,
                 ..
-            } => self.fill(at, index, set, entry, pack.as_str()),
+            } => {
+                *self.occupancy_by_set.entry((index, set)).or_insert(0) += 1;
+                self.ledger.fill(at, entry, pack.as_str());
+            }
             Event::Coalesce { entry, .. } => self.ledger.coalesce(entry),
             Event::Evict {
                 index,
@@ -429,15 +368,27 @@ impl StreamAnalyzer {
                 hi,
                 for_entry,
                 ..
-            } => self.evict(at, index, set, entry, (lo, hi), for_entry),
+            } => {
+                *self.occupancy_by_set.entry((index, set)).or_insert(0) -= 1;
+                self.ledger.evict(at, entry);
+                self.regret.evict(index, lo, hi, entry, for_entry);
+            }
             Event::Invalidate {
                 index,
                 set,
                 entry,
-                killed,
+                killed: true,
                 ..
-            } => self.invalidate(at, index, set, entry, killed),
-            Event::DramFetch { addr, .. } => self.dram_fetch(addr),
+            } => {
+                *self.occupancy_by_set.entry((index, set)).or_insert(0) -= 1;
+                self.ledger.invalidate(at, entry);
+                self.regret.invalidate(entry);
+            }
+            Event::DramFetch { addr, .. } => {
+                let block = addr / BLOCK_BYTES;
+                self.reuse.observe(block);
+                self.taxonomy.observe(block);
+            }
             Event::TunerDecision {
                 index,
                 batch,
@@ -467,91 +418,20 @@ impl StreamAnalyzer {
                 [ix_probe, compute, queue, stall, hidden],
                 latency,
             ),
-            Event::WalkStart { .. }
+            // A partial invalidation shrinks its entry in place: no
+            // retirement, no occupancy change.
+            Event::Invalidate { killed: false, .. }
+            | Event::WalkStart { .. }
             | Event::WalkEnd { .. }
             | Event::Bypass { .. }
             | Event::Split { .. } => {}
         }
-        self.window_event(epoch, ev, delta);
-    }
-
-    /// Feeds one parsed JSONL trace line. Field access is tolerant
-    /// (missing fields default to 0 / "" / false), matching the
-    /// trace-dump reader, so older traces without the forensic fields
-    /// still analyze — their ledgers just stay empty.
-    pub fn observe_json(&mut self, line: &Json) {
-        let u = |k: &str| line.get(k).and_then(Json::as_u64).unwrap_or(0);
-        let b = |k: &str| line.get(k).and_then(Json::as_bool).unwrap_or(false);
-        let s = |k: &str| line.get(k).and_then(Json::as_str).unwrap_or("");
-        let kind = s("ev").to_string();
-        if kind.is_empty() {
-            return;
-        }
-        *self.events_by_kind.entry(kind.clone()).or_insert(0) += 1;
-        let at = u("at");
-        let epoch = self.assign_epoch(at, kind == "walk_end");
-        let mut delta = RegretDelta::default();
-        match kind.as_str() {
-            "ix_probe" => {
-                delta = self.probe(
-                    u("index") as u8,
-                    u("key"),
-                    b("hit"),
-                    u("short_circuit"),
-                    u("set") as u32,
-                    u("entry"),
-                )
-            }
-            "insert" => {
-                let reason = s("reason").to_string();
-                self.ledger.insert(&reason);
-            }
-            "fill" => {
-                let pack = s("pack").to_string();
-                self.fill(at, u("index") as u8, u("set") as u32, u("entry"), &pack);
-            }
-            "coalesce" => self.ledger.coalesce(u("entry")),
-            "evict" => self.evict(
-                at,
-                u("index") as u8,
-                u("set") as u32,
-                u("entry"),
-                (u("lo"), u("hi")),
-                u("for_entry"),
-            ),
-            "invalidate" => self.invalidate(
-                at,
-                u("index") as u8,
-                u("set") as u32,
-                u("entry"),
-                b("killed"),
-            ),
-            "dram_fetch" => self.dram_fetch(u("addr")),
-            "walk_breakdown" => self.breakdown.observe(
-                at,
-                u("lane"),
-                [
-                    u("ix_probe"),
-                    u("compute"),
-                    u("queue"),
-                    u("stall"),
-                    u("hidden"),
-                ],
-                u("latency"),
-            ),
-            "tuner_decision" => self.tuner_decisions.push(TunerRec {
-                at,
-                index: u("index") as u8,
-                batch: u("batch"),
-                param: s("param").to_string(),
-                from: u("from"),
-                to: u("to"),
-            }),
-            _ => {}
-        }
-        if let (Some(state), Some(e)) = (&mut self.series, epoch) {
-            let w = state.series.window_mut(e);
-            w.observe_json(line);
+        // The event's window gets it plus the regret verdicts its probe
+        // produced (unwindowed streams skip this).
+        if let Some(s) = &mut self.series {
+            s.last_epoch = s.clock.observe(at, matches!(ev, Event::WalkEnd { .. }));
+            let w = s.series.window_mut(s.last_epoch);
+            w.observe_event(ev);
             w.regretted += delta.regretted;
             w.vindicated += delta.vindicated;
         }
@@ -630,6 +510,52 @@ impl TraceAnalysis {
             ("designs".into(), Json::Obj(designs)),
         ]))
     }
+}
+
+/// A trace stream's labels: (run, design, shard).
+pub type StreamKey = (String, String, u64);
+
+/// An offline replay of a JSONL trace.
+#[derive(Debug, Default)]
+pub struct Replay {
+    /// Events replayed (flight-recorder meta lines are not events).
+    pub events: u64,
+    /// The per-design forensic aggregate.
+    pub analysis: TraceAnalysis,
+    /// The counting metrics of each stream.
+    pub metrics: BTreeMap<StreamKey, MetricsSnapshot>,
+}
+
+/// Replays a JSONL trace: splits it into its (run, design, shard)
+/// streams (order matters within a stream, never across), feeds each
+/// event to the same [`StreamAnalyzer::observe_event`] and
+/// [`MetricsSnapshot::observe`] the in-process sinks call, and merges
+/// the analyzers by design. `budget_blocks` and `epoch` configure every
+/// analyzer as [`AnalysisRegistry::windowed`] does. A malformed line is
+/// an error naming its line number.
+pub fn replay<R: Read>(
+    mut reader: JsonlReader<R>,
+    budget_blocks: usize,
+    epoch: Option<EpochSpec>,
+) -> Result<Replay, String> {
+    let mut streams: BTreeMap<StreamKey, (StreamAnalyzer, MetricsSnapshot)> = BTreeMap::new();
+    let mut out = Replay::default();
+    while let Some(line) = reader.next_event()? {
+        let (analyzer, metrics) = streams
+            .entry((line.run, line.design, line.shard))
+            .or_insert_with(|| {
+                let analyzer = StreamAnalyzer::new(budget_blocks).with_epoch(epoch);
+                (analyzer, MetricsSnapshot::default())
+            });
+        analyzer.observe_event(line.at, &line.ev);
+        metrics.observe(line.at, &line.ev);
+        out.events += 1;
+    }
+    for (key, (analyzer, metrics)) in streams {
+        out.analysis.fold(&key.1, analyzer.finish());
+        out.metrics.insert(key, metrics);
+    }
+    Ok(out)
 }
 
 /// Structural and conservation checks over a rendered `ANALYSIS.json`.
@@ -1070,6 +996,9 @@ impl Drop for AnalysisSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::FlightRecorder;
+    use crate::jsonl::tests::{parse_all, render};
+    use crate::jsonl::TraceLine;
     use metal_sim::obs::{AdmitReason, EvictReason, MutKind, PackMode};
 
     fn sample_events() -> Vec<(u64, Event)> {
@@ -1228,23 +1157,10 @@ mod tests {
         ]
     }
 
-    /// The JSONL rendering of `sample_events`, as the offline path sees
-    /// it.
-    fn sample_lines() -> Vec<Json> {
-        use crate::jsonl::event_fields;
-        sample_events()
-            .iter()
-            .map(|(at, ev)| {
-                let mut fields = vec![("at", Json::UInt(*at)), ("ev", Json::str(ev.kind()))];
-                fields.extend(event_fields(ev));
-                Json::Obj(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), v))
-                        .collect(),
-                )
-            })
-            .collect()
+    /// `sample_events` as the offline path sees them: rendered by the
+    /// real writer and read back through the trace parser.
+    fn sample_lines() -> Vec<TraceLine> {
+        parse_all(&render(&sample_events()))
     }
 
     #[test]
@@ -1255,9 +1171,30 @@ mod tests {
         }
         let mut offline = StreamAnalyzer::new(16);
         for line in sample_lines() {
-            offline.observe_json(&line);
+            offline.observe_event(line.at, &line.ev);
         }
         assert_eq!(live.finish(), offline.finish());
+    }
+
+    #[test]
+    fn flight_dump_replays_like_the_in_process_registry() {
+        // A single-shard recorder that dropped nothing holds the whole
+        // stream, so replaying its dump must reproduce the in-process
+        // analysis, and its meta line must open no stream of its own.
+        let rec = FlightRecorder::new(64);
+        let reg = AnalysisRegistry::new(16);
+        let (mut flight, mut sink) = (rec.sink("metal", 0), reg.sink("metal"));
+        for (at, ev) in sample_events() {
+            flight.emit(at, &ev);
+            sink.emit(at, &ev);
+        }
+        drop(sink);
+        let dump = rec.dump_jsonl();
+        let rep = replay(JsonlReader::from_reader(dump.as_bytes()), 16, None).unwrap();
+        assert_eq!(rep.events, sample_events().len() as u64);
+        let streams: Vec<&StreamKey> = rep.metrics.keys().collect();
+        assert_eq!(streams, [&("?".to_string(), "metal".to_string(), 0)]);
+        assert_eq!(rep.analysis, reg.snapshot());
     }
 
     #[test]
@@ -1346,7 +1283,7 @@ mod tests {
         }
         let mut offline = StreamAnalyzer::new(16).with_epoch(Some(spec));
         for line in sample_lines() {
-            offline.observe_json(&line);
+            offline.observe_event(line.at, &line.ev);
         }
         let (live, offline) = (live.finish(), offline.finish());
         assert_eq!(live, offline, "windowed in-process == offline replay");

@@ -10,8 +10,9 @@
 //!
 //! The dump is ordinary trace JSONL (same field spelling as
 //! [`crate::jsonl`]), prefixed per design with one meta line recording
-//! how many earlier events the ring dropped, so `trace_dump` and
-//! `analyze` can read a flight dump like any truncated trace.
+//! how many earlier events the ring dropped. The trace parser skips that
+//! line, so `analyze` reads a flight dump like any truncated trace; a
+//! dump that dropped nothing replays to the in-process analysis.
 
 use crate::json::Json;
 use crate::jsonl::event_fields;

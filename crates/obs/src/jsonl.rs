@@ -1,4 +1,5 @@
-//! JSONL trace writer: one JSON object per line, one line per event.
+//! JSONL traces: one JSON object per line, one line per event — the
+//! writer and its strict inverse, the one trace parser.
 //!
 //! Layout: a process-wide [`JsonlWriter`] owns the output file behind a
 //! mutex; each (design, shard) simulation gets its own [`JsonlSink`]
@@ -13,9 +14,15 @@
 //! ```json
 //! {"run":"fig20","design":"metal","shard":0,"at":1234,"ev":"ix_probe", …payload}
 //! ```
+//!
+//! [`TraceLine::parse`] is the inverse: every offline reader turns a
+//! line back into the typed [`Event`] and feeds the same reducers the
+//! in-process sinks do. Adding an event therefore means a variant, an
+//! [`event_fields`] arm and a parse arm; the round-trip test over every
+//! variant and tag fails the build or the suite until all three agree.
 
 use crate::json::Json;
-use metal_sim::obs::{Event, EventSink};
+use metal_sim::obs::{AdmitReason, Event, EventSink, EvictReason, MutKind, PackMode, TunedParam};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -198,11 +205,175 @@ pub fn event_fields(ev: &Event) -> Vec<(&'static str, Json)> {
     }
 }
 
+/// One trace line parsed back into its stream labels and typed event.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceLine {
+    /// Run label (`"?"` when absent: flight dumps carry none).
+    pub run: String,
+    /// Design label (`"?"` when absent).
+    pub design: String,
+    /// Shard label (0 when absent).
+    pub shard: u64,
+    /// Simulated cycle the event was stamped at.
+    pub at: u64,
+    /// The event.
+    pub ev: Event,
+}
+
+impl TraceLine {
+    /// Parses one trace object, the inverse of [`JsonlSink`]'s rendering.
+    /// Labels are tolerant, the payload is strict: an unknown `ev`, a
+    /// missing or mistyped field, an unknown tag or an integer outside
+    /// its field's type is an error. A flight-recorder meta line (the one
+    /// carrying `flight_dropped`) is no event and parses to `Ok(None)`.
+    pub fn parse(v: &Json) -> Result<Option<TraceLine>, String> {
+        if v.get("flight_dropped").is_some() {
+            return Ok(None);
+        }
+        let label = |k: &str| v.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
+        let kind = field(v, "ev")?
+            .as_str()
+            .ok_or("field \"ev\" is not a string")?;
+        Ok(Some(TraceLine {
+            run: label("run"),
+            design: label("design"),
+            shard: v.get("shard").and_then(Json::as_u64).unwrap_or(0),
+            at: int(v, "at")?,
+            ev: parse_event(kind, v)?,
+        }))
+    }
+}
+
+fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
+    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// An unsigned integer field that must fit its event field's type.
+fn int<T: TryFrom<u64>>(v: &Json, key: &str) -> Result<T, String> {
+    let n = field(v, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))?;
+    T::try_from(n).map_err(|_| format!("field {key:?}: {n} is out of range"))
+}
+
+fn flag(v: &Json, key: &str) -> Result<bool, String> {
+    field(v, key)?
+        .as_bool()
+        .ok_or_else(|| format!("field {key:?} is not a boolean"))
+}
+
+fn tag<T>(v: &Json, key: &str, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+    let s = field(v, key)?
+        .as_str()
+        .ok_or_else(|| format!("field {key:?} is not a string"))?;
+    parse(s).ok_or_else(|| format!("field {key:?}: unknown tag {s:?}"))
+}
+
+/// The payload of an `ev` = `kind` line: the inverse of [`event_fields`].
+fn parse_event(kind: &str, v: &Json) -> Result<Event, String> {
+    Ok(match kind {
+        "walk_start" => Event::WalkStart {
+            walk: int(v, "walk")?,
+            lane: int(v, "lane")?,
+        },
+        "walk_end" => Event::WalkEnd {
+            walk: int(v, "walk")?,
+            lane: int(v, "lane")?,
+            latency: int(v, "latency")?,
+        },
+        "walk_breakdown" => Event::WalkBreakdown {
+            walk: int(v, "walk")?,
+            lane: int(v, "lane")?,
+            ix_probe: int(v, "ix_probe")?,
+            compute: int(v, "compute")?,
+            queue: int(v, "queue")?,
+            stall: int(v, "stall")?,
+            hidden: int(v, "hidden")?,
+            latency: int(v, "latency")?,
+        },
+        "dram_fetch" => Event::DramFetch {
+            lane: int(v, "lane")?,
+            addr: int(v, "addr")?,
+            bytes: int(v, "bytes")?,
+            done: int(v, "done")?,
+        },
+        "ix_probe" => Event::IxProbe {
+            index: int(v, "index")?,
+            key: int(v, "key")?,
+            hit: flag(v, "hit")?,
+            level: int(v, "level")?,
+            short_circuit: int(v, "short_circuit")?,
+            set: int(v, "set")?,
+            scan: flag(v, "scan")?,
+            entry: int(v, "entry")?,
+        },
+        "insert" => Event::Insert {
+            index: int(v, "index")?,
+            level: int(v, "level")?,
+            set: int(v, "set")?,
+            life: int(v, "life")?,
+            reason: tag(v, "reason", AdmitReason::parse)?,
+        },
+        "bypass" => Event::Bypass {
+            index: int(v, "index")?,
+            level: int(v, "level")?,
+            reason: tag(v, "reason", AdmitReason::parse)?,
+        },
+        "fill" => Event::Fill {
+            index: int(v, "index")?,
+            level: int(v, "level")?,
+            set: int(v, "set")?,
+            entry: int(v, "entry")?,
+            pack: tag(v, "pack", PackMode::parse)?,
+        },
+        "coalesce" => Event::Coalesce {
+            index: int(v, "index")?,
+            level: int(v, "level")?,
+            set: int(v, "set")?,
+            entry: int(v, "entry")?,
+        },
+        "evict" => Event::Evict {
+            index: int(v, "index")?,
+            level: int(v, "level")?,
+            set: int(v, "set")?,
+            reason: tag(v, "reason", EvictReason::parse)?,
+            entry: int(v, "entry")?,
+            lo: int(v, "lo")?,
+            hi: int(v, "hi")?,
+            for_entry: int(v, "for_entry")?,
+        },
+        "split" => Event::Split {
+            index: int(v, "index")?,
+            level: int(v, "level")?,
+            lo: int(v, "lo")?,
+            hi: int(v, "hi")?,
+            op: tag(v, "op", MutKind::parse)?,
+        },
+        "invalidate" => Event::Invalidate {
+            index: int(v, "index")?,
+            level: int(v, "level")?,
+            set: int(v, "set")?,
+            entry: int(v, "entry")?,
+            lo: int(v, "lo")?,
+            hi: int(v, "hi")?,
+            killed: flag(v, "killed")?,
+        },
+        "tuner_decision" => Event::TunerDecision {
+            index: int(v, "index")?,
+            batch: int(v, "batch")?,
+            param: tag(v, "param", TunedParam::parse)?,
+            from: int(v, "from")?,
+            to: int(v, "to")?,
+        },
+        other => return Err(format!("unknown event kind {other:?}")),
+    })
+}
+
 /// Streaming JSONL reader: parses one line at a time into a reused
 /// buffer, so multi-GB traces read in constant memory — the whole file
 /// is never resident, and a line longer than the writer's flush
-/// threshold only grows the single line buffer. `trace_dump` and
-/// `analyze` both read traces through this.
+/// threshold only grows the single line buffer. `analyze` reads traces
+/// through this.
 pub struct JsonlReader<R> {
     input: BufReader<R>,
     buf: String,
@@ -254,6 +425,20 @@ impl<R: Read> JsonlReader<R> {
                 .map(Some)
                 .map_err(|e| format!("line {}: bad JSON: {e:?}", self.line_no));
         }
+    }
+
+    /// Reads the next event through [`TraceLine::parse`], skipping
+    /// flight-recorder meta lines. Returns `Ok(None)` at end of input; a
+    /// malformed line is an `Err` naming its line number.
+    pub fn next_event(&mut self) -> Result<Option<TraceLine>, String> {
+        while let Some(v) = self.next_line()? {
+            if let Some(line) =
+                TraceLine::parse(&v).map_err(|e| format!("line {}: {e}", self.line_no))?
+            {
+                return Ok(Some(line));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -351,13 +536,316 @@ impl Drop for JsonlSink {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use metal_sim::obs::{AdmitReason, EvictReason};
+    use metal_sim::obs::WIDE_SET;
+    use std::collections::BTreeSet;
 
     /// Collects appended chunks into a shared string.
     #[derive(Clone, Default)]
     struct Capture(Arc<Mutex<String>>);
+
+    /// `events` as the real writer renders them, as one stream labelled
+    /// ("run", "metal", 0).
+    pub(crate) fn render(events: &[(u64, Event)]) -> String {
+        let cap = Capture::default();
+        let mut sink = JsonlSink::new(JsonlWriter::from_writer(cap.clone()), "run", "metal", 0);
+        for (at, ev) in events {
+            sink.emit(*at, ev);
+        }
+        sink.flush();
+        let text = cap.0.lock().unwrap().clone();
+        text
+    }
+
+    /// Every event of a rendered trace, read back through the parser.
+    pub(crate) fn parse_all(text: &str) -> Vec<TraceLine> {
+        let mut reader = JsonlReader::from_reader(text.as_bytes());
+        std::iter::from_fn(|| reader.next_event().expect("trace line parses")).collect()
+    }
+
+    /// The next variant in a chain through every [`Event`] variant. The
+    /// match has no wildcard, so a new variant fails the build here until
+    /// it joins the chain, and with it the round trip below.
+    fn successor(ev: &Event) -> Option<Event> {
+        Some(match ev {
+            Event::WalkStart { .. } => Event::WalkEnd {
+                walk: 7,
+                lane: 3,
+                latency: 90,
+            },
+            Event::WalkEnd { .. } => Event::WalkBreakdown {
+                walk: 7,
+                lane: 3,
+                ix_probe: 1,
+                compute: 2,
+                queue: 3,
+                stall: 4,
+                hidden: 5,
+                latency: 15,
+            },
+            Event::WalkBreakdown { .. } => Event::DramFetch {
+                lane: u32::MAX,
+                addr: 640,
+                bytes: 64,
+                done: 99,
+            },
+            Event::DramFetch { .. } => Event::IxProbe {
+                index: u8::MAX,
+                key: u64::MAX,
+                hit: true,
+                level: 2,
+                short_circuit: 2,
+                set: WIDE_SET,
+                scan: false,
+                entry: 11,
+            },
+            Event::IxProbe { .. } => Event::Insert {
+                index: 1,
+                level: 2,
+                set: 5,
+                life: 64,
+                reason: AdmitReason::All,
+            },
+            Event::Insert { .. } => Event::Bypass {
+                index: 1,
+                level: 0,
+                reason: AdmitReason::All,
+            },
+            Event::Bypass { .. } => Event::Fill {
+                index: 1,
+                level: 2,
+                set: 5,
+                entry: 12,
+                pack: PackMode::Exact,
+            },
+            Event::Fill { .. } => Event::Coalesce {
+                index: 1,
+                level: 2,
+                set: 5,
+                entry: 12,
+            },
+            Event::Coalesce { .. } => Event::Evict {
+                index: 1,
+                level: 2,
+                set: 5,
+                reason: EvictReason::Capacity,
+                entry: 12,
+                lo: 100,
+                hi: 163,
+                for_entry: 13,
+            },
+            Event::Evict { .. } => Event::Split {
+                index: 0,
+                level: 1,
+                lo: 10,
+                hi: 90,
+                op: MutKind::Split,
+            },
+            Event::Split { .. } => Event::Invalidate {
+                index: 0,
+                level: 1,
+                set: 6,
+                entry: 14,
+                lo: 10,
+                hi: 90,
+                killed: true,
+            },
+            Event::Invalidate { .. } => Event::TunerDecision {
+                index: 0,
+                batch: 3,
+                param: TunedParam::Pivot,
+                from: 10,
+                to: 20,
+            },
+            Event::TunerDecision { .. } => return None,
+        })
+    }
+
+    /// `ev` once per value of its tag field (just `ev` when it has none).
+    fn with_every_tag(ev: Event) -> Vec<Event> {
+        match ev {
+            Event::Insert {
+                index,
+                level,
+                set,
+                life,
+                ..
+            } => AdmitReason::ALL
+                .iter()
+                .map(|&reason| Event::Insert {
+                    index,
+                    level,
+                    set,
+                    life,
+                    reason,
+                })
+                .collect(),
+            Event::Bypass { index, level, .. } => AdmitReason::ALL
+                .iter()
+                .map(|&reason| Event::Bypass {
+                    index,
+                    level,
+                    reason,
+                })
+                .collect(),
+            Event::Fill {
+                index,
+                level,
+                set,
+                entry,
+                ..
+            } => PackMode::ALL
+                .iter()
+                .map(|&pack| Event::Fill {
+                    index,
+                    level,
+                    set,
+                    entry,
+                    pack,
+                })
+                .collect(),
+            Event::Evict {
+                index,
+                level,
+                set,
+                entry,
+                lo,
+                hi,
+                for_entry,
+                ..
+            } => EvictReason::ALL
+                .iter()
+                .map(|&reason| Event::Evict {
+                    index,
+                    level,
+                    set,
+                    reason,
+                    entry,
+                    lo,
+                    hi,
+                    for_entry,
+                })
+                .collect(),
+            Event::Split {
+                index,
+                level,
+                lo,
+                hi,
+                ..
+            } => MutKind::ALL
+                .iter()
+                .map(|&op| Event::Split {
+                    index,
+                    level,
+                    lo,
+                    hi,
+                    op,
+                })
+                .collect(),
+            Event::TunerDecision {
+                index,
+                batch,
+                from,
+                to,
+                ..
+            } => TunedParam::ALL
+                .iter()
+                .map(|&param| Event::TunerDecision {
+                    index,
+                    batch,
+                    param,
+                    from,
+                    to,
+                })
+                .collect(),
+            Event::WalkStart { .. }
+            | Event::WalkEnd { .. }
+            | Event::WalkBreakdown { .. }
+            | Event::DramFetch { .. }
+            | Event::IxProbe { .. }
+            | Event::Coalesce { .. }
+            | Event::Invalidate { .. } => vec![ev],
+        }
+    }
+
+    #[test]
+    fn every_event_and_tag_round_trips_through_writer_and_parser() {
+        let mut samples = Vec::new();
+        let mut chain = 0;
+        let mut next = Some(Event::WalkStart { walk: 7, lane: 3 });
+        while let Some(ev) = next {
+            next = successor(&ev);
+            samples.extend(with_every_tag(ev));
+            chain += 1;
+        }
+        let kinds: BTreeSet<&str> = samples.iter().map(Event::kind).collect();
+        assert_eq!(kinds.len(), chain, "the chain visits each variant once");
+        let events: Vec<(u64, Event)> = samples
+            .into_iter()
+            .zip(1..)
+            .map(|(e, at)| (at, e))
+            .collect();
+        let parsed = parse_all(&render(&events));
+        assert_eq!(parsed.len(), events.len());
+        for ((at, ev), line) in events.iter().zip(&parsed) {
+            assert_eq!((line.at, &line.ev), (*at, ev));
+            assert_eq!(
+                (line.run.as_str(), line.design.as_str(), line.shard),
+                ("run", "metal", 0)
+            );
+        }
+    }
+
+    #[test]
+    fn parser_rejects_malformed_payloads_and_skips_flight_meta() {
+        let probe = Event::IxProbe {
+            index: 0,
+            key: 5,
+            hit: true,
+            level: 1,
+            short_circuit: 1,
+            set: 3,
+            scan: false,
+            entry: 9,
+        };
+        let insert = Event::Insert {
+            index: 0,
+            level: 1,
+            set: 3,
+            life: 0,
+            reason: AdmitReason::LevelBand,
+        };
+        let text = render(&[(1, probe), (2, insert)]);
+        let (probe, insert) = text.split_once('\n').unwrap();
+        let parse = |line: &str| TraceLine::parse(&Json::parse(line).unwrap());
+        assert_eq!(parse(probe).unwrap().unwrap().at, 1);
+        for (line, want) in [
+            (
+                probe.replace("\"index\":0", "\"index\":300"),
+                "out of range",
+            ),
+            (
+                insert.replace("level-band", "bogus"),
+                "unknown tag \"bogus\"",
+            ),
+            (probe.replace(",\"entry\":9", ""), "missing field \"entry\""),
+            (
+                probe.replace("ix_probe", "nope"),
+                "unknown event kind \"nope\"",
+            ),
+            (probe.replace("\"hit\":true", "\"hit\":1"), "not a boolean"),
+        ] {
+            let err = parse(&line).expect_err(&line);
+            assert!(err.contains(want), "{line}: {err}");
+        }
+        let unlabelled = parse(&probe.replace("\"run\":\"run\",", ""))
+            .unwrap()
+            .unwrap();
+        assert_eq!(unlabelled.run, "?", "flight dumps carry no run label");
+        let meta = "{\"design\":\"metal\",\"flight_dropped\":0,\"flight_len\":2}";
+        assert_eq!(parse(meta), Ok(None), "flight meta lines are no event");
+    }
 
     impl Write for Capture {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {

@@ -5,8 +5,8 @@
 //! and file formats that make those events useful:
 //!
 //! - [`jsonl`] — a JSONL trace writer (one event per line, shard-safe),
-//!   the format behind the harness's `--trace-out` flag and the
-//!   `trace-dump` inspector.
+//!   the format behind the harness's `--trace-out` flag, and its strict
+//!   inverse, the one parser every offline reader goes through.
 //! - [`chrome`] — a Chrome `trace_event` exporter for visual inspection
 //!   in `chrome://tracing` / Perfetto (walks become per-lane slices).
 //! - [`metrics`] — an order-free counting registry (per-set probe and
@@ -23,7 +23,8 @@
 //!   compulsory/capacity/conflict miss taxonomy over the block trace.
 //! - [`analysis`] — the per-stream analyzer tying the forensics
 //!   together, its associative per-design merge, the `ANALYSIS.json`
-//!   schema and its validator, and the in-process registry sink.
+//!   schema and its validator, the in-process registry sink and the
+//!   offline trace replay.
 //! - [`breakdown`] — cycle-accounting rollups over the per-walk
 //!   `walk_breakdown` events (component totals, log₂ histograms, lane
 //!   reconciliation), conserved against walk latency by the validator.
@@ -60,14 +61,15 @@ pub mod timeseries;
 pub mod watchdog;
 
 pub use analysis::{
-    validate_analysis, validate_analysis_gated, AnalysisRegistry, AnalysisSink, DesignAnalysis,
-    StreamAnalyzer, TraceAnalysis, ANALYSIS_SCHEMA, SERIES_SCHEMA,
+    replay, validate_analysis, validate_analysis_gated, AnalysisRegistry, AnalysisSink,
+    DesignAnalysis, Replay, StreamAnalyzer, StreamKey, TraceAnalysis, ANALYSIS_SCHEMA,
+    SERIES_SCHEMA,
 };
 pub use breakdown::{BreakdownAgg, BreakdownState, BREAKDOWN_SCHEMA};
 pub use chrome::{ChromeTraceSink, ChromeTraceWriter};
 pub use flight::{FlightRecorder, FlightSink, DEFAULT_FLIGHT_CAPACITY};
 pub use json::{Json, JsonError};
-pub use jsonl::{JsonlReader, JsonlSink, JsonlWriter};
+pub use jsonl::{JsonlReader, JsonlSink, JsonlWriter, TraceLine};
 pub use ledger::{EntryLedger, LedgerSummary, RegretDelta, RegretMeter, RegretSummary};
 pub use manifest::{stats_json, ManifestReport, RunManifest};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, RegistrySink};

@@ -139,7 +139,8 @@ impl MetricsSnapshot {
         ])
     }
 
-    fn observe(&mut self, at: u64, ev: &Event) {
+    /// Folds one event into the aggregates.
+    pub fn observe(&mut self, at: u64, ev: &Event) {
         *self.events_by_kind.entry(ev.kind()).or_insert(0) += 1;
         match *ev {
             Event::IxProbe {

@@ -12,13 +12,13 @@
 //!   counter summed over windows equals the whole-run aggregate
 //!   (`validate_analysis` enforces this when a series is present).
 //!
-//! The event→counter mapping lives here, in one place, with an
-//! `observe_event` / `observe_json` pair that must stay in lockstep so
-//! the in-process series and an offline trace replay are bit-identical
-//! (the same contract [`crate::analysis::StreamAnalyzer`] pins for the
-//! whole-run aggregates). Regret verdicts are the one exception: they
-//! need the analyzer's [`crate::ledger::RegretMeter`], so the analyzer
-//! adds those two counters itself.
+//! The event→counter mapping lives here, in one place:
+//! [`WindowCounters::observe_event`] serves the in-process series and an
+//! offline trace replay alike, so the two are bit-identical (the same
+//! contract [`crate::analysis::StreamAnalyzer`] pins for the whole-run
+//! aggregates). Regret verdicts are the one exception: they need the
+//! analyzer's [`crate::ledger::RegretMeter`], so the analyzer adds those
+//! two counters itself.
 
 use crate::json::Json;
 use crate::reuse::LogHist;
@@ -138,7 +138,7 @@ impl WindowCounters {
         self.evictions_by_reason.values().sum()
     }
 
-    /// Folds one in-process event into this window. Regret verdicts are
+    /// Folds one event into this window. Regret verdicts are
     /// *not* derivable from the event alone; the caller adds those from
     /// its [`crate::ledger::RegretMeter`].
     pub fn observe_event(&mut self, ev: &Event) {
@@ -168,7 +168,15 @@ impl WindowCounters {
             }
             Event::IxProbe {
                 hit, level, scan, ..
-            } => self.count_probe(hit, level, scan),
+            } => {
+                self.probes += 1;
+                self.scan_probes += scan as u64;
+                match (hit, scan) {
+                    (false, _) => self.misses += 1,
+                    (true, true) => self.scan_hits += 1,
+                    (true, false) => *self.hits_by_level.entry(level).or_insert(0) += 1,
+                }
+            }
             Event::Insert { reason, .. } => {
                 *self
                     .inserts_by_reason
@@ -203,80 +211,6 @@ impl WindowCounters {
                 }
             }
             Event::TunerDecision { .. } => self.tuner_decisions += 1,
-        }
-    }
-
-    /// Folds one parsed JSONL trace line into this window; must mirror
-    /// [`WindowCounters::observe_event`] exactly (tolerant field access,
-    /// like the other offline readers).
-    pub fn observe_json(&mut self, line: &Json) {
-        let u = |k: &str| line.get(k).and_then(Json::as_u64).unwrap_or(0);
-        let b = |k: &str| line.get(k).and_then(Json::as_bool).unwrap_or(false);
-        let s = |k: &str| line.get(k).and_then(Json::as_str).unwrap_or("");
-        match line.get("ev").and_then(Json::as_str).unwrap_or("") {
-            "walk_end" => {
-                self.walks += 1;
-                self.latency_log2.observe(u("latency"));
-            }
-            "walk_breakdown" => {
-                self.ix_probe_cycles += u("ix_probe");
-                self.compute_cycles += u("compute");
-                self.queue_cycles += u("queue");
-                self.stall_cycles += u("stall");
-                self.hidden_cycles += u("hidden");
-            }
-            "dram_fetch" => {
-                self.dram_fetches += 1;
-                self.dram_bytes += u("bytes");
-            }
-            "ix_probe" => self.count_probe(b("hit"), u("level") as u8, b("scan")),
-            "insert" => {
-                *self
-                    .inserts_by_reason
-                    .entry(s("reason").to_string())
-                    .or_insert(0) += 1;
-            }
-            "bypass" => {
-                *self
-                    .bypasses_by_reason
-                    .entry(s("reason").to_string())
-                    .or_insert(0) += 1;
-            }
-            "fill" => {
-                self.fills += 1;
-                self.occupancy_delta += 1;
-            }
-            "coalesce" => self.coalesces += 1,
-            "evict" => {
-                *self
-                    .evictions_by_reason
-                    .entry(s("reason").to_string())
-                    .or_insert(0) += 1;
-                self.occupancy_delta -= 1;
-            }
-            "split" => self.mutations += 1,
-            "invalidate" => {
-                if b("killed") {
-                    self.invalidation_kills += 1;
-                    self.occupancy_delta -= 1;
-                } else {
-                    self.invalidation_shrinks += 1;
-                }
-            }
-            "tuner_decision" => self.tuner_decisions += 1,
-            _ => {}
-        }
-    }
-
-    fn count_probe(&mut self, hit: bool, level: u8, scan: bool) {
-        self.probes += 1;
-        if scan {
-            self.scan_probes += 1;
-        }
-        match (hit, scan) {
-            (false, _) => self.misses += 1,
-            (true, true) => self.scan_hits += 1,
-            (true, false) => *self.hits_by_level.entry(level).or_insert(0) += 1,
         }
     }
 
@@ -399,7 +333,7 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonl::event_fields;
+    use crate::jsonl::tests::{parse_all, render};
     use metal_sim::obs::{AdmitReason, EvictReason, PackMode};
 
     fn events() -> Vec<Event> {
@@ -481,24 +415,18 @@ mod tests {
         ]
     }
 
-    fn as_line(ev: &Event) -> Json {
-        let mut fields = vec![("ev", Json::str(ev.kind()))];
-        fields.extend(event_fields(ev));
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
     #[test]
     fn event_and_json_windows_agree() {
+        // The offline side reads the real writer's lines back through
+        // the trace parser.
+        let stamped: Vec<(u64, Event)> = events().into_iter().map(|ev| (0, ev)).collect();
         let mut live = WindowCounters::default();
         let mut offline = WindowCounters::default();
         for ev in events() {
             live.observe_event(&ev);
-            offline.observe_json(&as_line(&ev));
+        }
+        for line in parse_all(&render(&stamped)) {
+            offline.observe_event(&line.ev);
         }
         assert_eq!(live, offline);
         assert_eq!(live.walks, 1);

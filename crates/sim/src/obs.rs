@@ -33,135 +33,112 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Why an IX-cache entry was evicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EvictReason {
-    /// Set-associativity conflict or total entry budget exhausted.
-    Capacity,
-    /// Displaced by a multi-entry insertion (a node wider than one block
-    /// split into sub-range entries, Fig. 5 case 2).
-    RangeSplit,
-    /// A lifetime-pinned entry whose pin was eroded to zero by sustained
-    /// eviction pressure (the stale-pin escape hatch).
-    Lifetime,
+/// Declares a payload tag enum from one list of (variant, name) pairs,
+/// so the stable name (the JSONL field value) and its inverse cannot
+/// disagree.
+macro_rules! tag_enum {
+    ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident = $tag:literal,)+ }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every tag, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),+];
+
+            /// Stable lowercase name (JSONL field value).
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $tag,)+
+                }
+            }
+
+            /// The tag spelled `s`: the inverse of `as_str`.
+            pub fn parse(s: &str) -> Option<$name> {
+                match s {
+                    $($tag => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl EvictReason {
-    /// Stable lowercase name (JSONL field value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EvictReason::Capacity => "capacity",
-            EvictReason::RangeSplit => "range-split",
-            EvictReason::Lifetime => "lifetime",
-        }
+tag_enum! {
+    /// Why an IX-cache entry was evicted.
+    EvictReason {
+        /// Set-associativity conflict or total entry budget exhausted.
+        Capacity = "capacity",
+        /// Displaced by a multi-entry insertion (a node wider than one block
+        /// split into sub-range entries, Fig. 5 case 2).
+        RangeSplit = "range-split",
+        /// A lifetime-pinned entry whose pin was eroded to zero by sustained
+        /// eviction pressure (the stale-pin escape hatch).
+        Lifetime = "lifetime",
     }
 }
 
-/// Which descriptor arm decided an insert/bypass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AdmitReason {
-    /// Greedy `Descriptor::All` (METAL-IX's hardwired behaviour).
-    All,
-    /// `Descriptor::None` (pure-bypass ablation).
-    None,
-    /// Node pattern: level match (or mismatch, for a bypass).
-    NodeLevel,
-    /// Level pattern: inside (or outside) the cached band.
-    LevelBand,
-    /// Branch pattern: overlapping (or missing) the pivot window.
-    BranchWindow,
-    /// `Descriptor::Or` where both arms bypassed (an admitting arm
-    /// reports its own reason instead).
-    Composite,
-}
-
-impl AdmitReason {
-    /// Stable lowercase name (JSONL field value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AdmitReason::All => "all",
-            AdmitReason::None => "none",
-            AdmitReason::NodeLevel => "node-level",
-            AdmitReason::LevelBand => "level-band",
-            AdmitReason::BranchWindow => "branch-window",
-            AdmitReason::Composite => "composite",
-        }
+tag_enum! {
+    /// Which descriptor arm decided an insert/bypass.
+    AdmitReason {
+        /// Greedy `Descriptor::All` (METAL-IX's hardwired behaviour).
+        All = "all",
+        /// `Descriptor::None` (pure-bypass ablation).
+        None = "none",
+        /// Node pattern: level match (or mismatch, for a bypass).
+        NodeLevel = "node-level",
+        /// Level pattern: inside (or outside) the cached band.
+        LevelBand = "level-band",
+        /// Branch pattern: overlapping (or missing) the pivot window.
+        BranchWindow = "branch-window",
+        /// `Descriptor::Or` where both arms bypassed (an admitting arm
+        /// reports its own reason instead).
+        Composite = "composite",
     }
 }
 
-/// Which descriptor parameter a tuner decision moved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TunedParam {
-    /// Level band's deep edge (`lower`).
-    BandLower,
-    /// Level band's shallow edge (`upper`).
-    BandUpper,
-    /// Branch pivot key.
-    Pivot,
-    /// Branch window half-width.
-    Halfwidth,
-    /// Branch depth bound.
-    Depth,
-    /// Node pattern's target level.
-    NodeLevel,
-}
-
-impl TunedParam {
-    /// Stable lowercase name (JSONL field value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TunedParam::BandLower => "band-lower",
-            TunedParam::BandUpper => "band-upper",
-            TunedParam::Pivot => "pivot",
-            TunedParam::Halfwidth => "halfwidth",
-            TunedParam::Depth => "depth",
-            TunedParam::NodeLevel => "node-level",
-        }
+tag_enum! {
+    /// Which descriptor parameter a tuner decision moved.
+    TunedParam {
+        /// Level band's deep edge (`lower`).
+        BandLower = "band-lower",
+        /// Level band's shallow edge (`upper`).
+        BandUpper = "band-upper",
+        /// Branch pivot key.
+        Pivot = "pivot",
+        /// Branch window half-width.
+        Halfwidth = "halfwidth",
+        /// Branch depth bound.
+        Depth = "depth",
+        /// Node pattern's target level.
+        NodeLevel = "node-level",
     }
 }
 
-/// How an admitted node was physically packed into IX-cache entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PackMode {
-    /// The node fit one entry exactly (≤ one key block).
-    Exact,
-    /// A wide node split into `ceil(bytes/64)` sub-range entries
-    /// (Fig. 5 case 2).
-    Split,
-    /// Same-level siblings coalesced into one shared entry.
-    Coalesced,
-}
-
-impl PackMode {
-    /// Stable lowercase name (JSONL field value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PackMode::Exact => "exact",
-            PackMode::Split => "split",
-            PackMode::Coalesced => "coalesced",
-        }
+tag_enum! {
+    /// How an admitted node was physically packed into IX-cache entries.
+    PackMode {
+        /// The node fit one entry exactly (≤ one key block).
+        Exact = "exact",
+        /// A wide node split into `ceil(bytes/64)` sub-range entries
+        /// (Fig. 5 case 2).
+        Split = "split",
+        /// Same-level siblings coalesced into one shared entry.
+        Coalesced = "coalesced",
     }
 }
 
-/// Which structural index mutation triggered a range invalidation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MutKind {
-    /// A node overflowed and split into two siblings.
-    Split,
-    /// An underflowing node was folded into a sibling.
-    Merge,
-    /// Keys/children moved between siblings (borrow).
-    Rebalance,
-}
-
-impl MutKind {
-    /// Stable lowercase name (JSONL field value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MutKind::Split => "split",
-            MutKind::Merge => "merge",
-            MutKind::Rebalance => "rebalance",
-        }
+tag_enum! {
+    /// Which structural index mutation triggered a range invalidation.
+    MutKind {
+        /// A node overflowed and split into two siblings.
+        Split = "split",
+        /// An underflowing node was folded into a sibling.
+        Merge = "merge",
+        /// Keys/children moved between siblings (borrow).
+        Rebalance = "rebalance",
     }
 }
 

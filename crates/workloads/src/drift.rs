@@ -8,7 +8,7 @@
 //! into a burst of leaf scans over whatever the hotspot currently is.
 //! Between the phase changes the stream is steady, so windowed
 //! telemetry shows long flat plateaus punctuated by sharp edges — the
-//! exact shape the epoch series, `trace_dump --timeline` and the
+//! exact shape the epoch series, `analyze --epoch` and the
 //! anomaly watchdogs (hit-rate collapse on a hotspot jump, scan storm
 //! on a burst) exist to expose. Whole-run aggregates average all of it
 //! away.

@@ -11,12 +11,10 @@ use metal::core::models::DesignSpec;
 use metal::core::runner::{run_design, ObsConfig, RunConfig, ShardCtx};
 use metal::core::IxConfig;
 use metal::obs::{
-    validate_analysis, AnalysisRegistry, Json, JsonlSink, JsonlWriter, StreamAnalyzer,
-    TraceAnalysis,
+    replay, validate_analysis, AnalysisRegistry, Json, JsonlReader, JsonlSink, JsonlWriter,
 };
 use metal::sim::obs::{shared, EventSink, MultiSink};
 use metal::workloads::{Scale, Workload};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -128,29 +126,16 @@ fn offline_replay_matches_in_process_analysis() {
         run_design(&spec, &exp, &cfg);
     }
 
-    // Offline replay: demux into (run, design, shard) streams exactly as
-    // the `analyze` binary does, reduce each, merge by design.
-    let text = std::fs::read_to_string(&trace).expect("read back temp trace");
+    // Offline replay: the same demux-and-fold the `analyze` binary runs.
+    let reader = JsonlReader::open(&trace).expect("open temp trace");
+    let offline = replay(reader, BUDGET_BLOCKS, None).expect("trace replays");
     let _ = std::fs::remove_file(&trace);
-    let mut streams: BTreeMap<(String, String, u64), StreamAnalyzer> = BTreeMap::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let v = Json::parse(line).expect("trace line parses");
-        let label = |k: &str| v.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-        let shard = v.get("shard").and_then(Json::as_u64).unwrap_or(0);
-        streams
-            .entry((label("run"), label("design"), shard))
-            .or_insert_with(|| StreamAnalyzer::new(BUDGET_BLOCKS))
-            .observe_json(&v);
-    }
     assert!(
-        streams.len() > 1,
+        offline.metrics.len() > 1,
         "trace must demux into multiple logical-shard streams, got {}",
-        streams.len()
+        offline.metrics.len()
     );
-    let mut offline = TraceAnalysis::default();
-    for ((_, design, _), analyzer) in streams {
-        offline.fold(&design, analyzer.finish());
-    }
+    let offline = offline.analysis;
 
     assert_eq!(
         registry.snapshot().to_json().render(),
