@@ -1,24 +1,23 @@
 #!/usr/bin/env bash
 # CI entry point: lints, tier-1 verify, the full test suite
-# single-threaded, a sharded-replay smoke test (worker count must never
-# change the figure CSV, with and without an explicit logical-shard
-# grain), a telemetry smoke test (every trace line must parse into a
+# single-threaded (the golden figure test pins six figures' ci-scale CSV
+# and their worker-count invariance there), a sharded-replay smoke test
+# at an explicit logical-shard grain, the figure driver's usage
+# controls (an unknown flag or figure exits 2), a telemetry smoke test (every trace line must parse into a
 # typed event and `analyze --check-hits` must agree with the run
 # manifest; a truncated line must exit 2), a forensics gate (the `analyze` report must
 # pass its schema/conservation validation on a real fig15 trace), a
 # time-resolved telemetry gate (per-epoch window sums must conserve and
 # the series must be worker-count invariant), and a native-execution
-# gate (sim and native backends must agree on every semantic outcome,
-# the measured-telemetry path must analyze clean, a corrupted block
-# file must die with a contextful error, and the native fuzz swarm must
-# stay clean both over its default width sweep and pinned to the widest
-# MLP window), an MLP gate (the fig_mlp
-# sweep must match its golden and --mlp-width 1 must be byte-identical
-# to the serial engine), a cycle-accounting gate (the fig_breakdown
-# sweep must match its golden, a traced run must pass the breakdown
-# conservation rows in `analyze --validate`, and a sed-forged stall
-# component must fail naming the broken identity), a doc-link check
-# (every binary, flag and results/ file named in the docs must exist),
+# gate (the measured-telemetry path must analyze clean, a corrupted
+# block file must die with a contextful error, and the native fuzz
+# swarm must stay clean both over its default width sweep and pinned to
+# the widest MLP window), an MLP gate (--mlp-width 1 must be
+# byte-identical to the serial engine), a cycle-accounting gate (a
+# traced fig_breakdown run must pass the breakdown conservation rows in
+# `analyze --validate`, and a sed-forged stall component must fail
+# naming the broken identity), a doc-link check (every figure, tool,
+# flag and results/ file named in the docs must exist),
 # and the repository benchmark's unit tests and smoke run (benchmark/
 # must keep building against crates/ and end "ok":true). Nothing here
 # gates on timing: the benchmark's alternating pairs are the perf gate.
@@ -36,6 +35,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
+# The figure driver, built by the line above: every figure runs as
+# `$FIG NAME [flags]`.
+FIG=./target/release/fig
 
 # The root-package tests are covered by the workspace run below; build
 # test targets first so the timed run is compile-free.
@@ -43,26 +45,14 @@ echo "== full workspace tests (single-threaded) =="
 cargo test -q --workspace --no-run
 cargo test -q --workspace -- --test-threads=1
 
-echo "== sharded-replay smoke: fig18_speedup, shards 1 vs 4 =="
-cargo build --release -p metal-bench --bin fig18_speedup
+echo "== sharded-replay smoke: fig18_speedup --shard-walks 512, shards 1 vs 4 =="
+# The default grain's shards-1-vs-4 identity is pinned by the golden
+# figure test; explicit logical sharding (partitioned-accelerator
+# semantics) must be worker-count invariant too.
 out1=$(mktemp) && out4=$(mktemp)
 trap 'rm -f "$out1" "$out4"' EXIT
-# Default (unbounded) grain: the serial single-engine methodology.
-t0=$(date +%s%N)
-./target/release/fig18_speedup --scale ci --shards 1 > "$out1"
-t1=$(date +%s%N)
-./target/release/fig18_speedup --scale ci --shards 4 > "$out4"
-t2=$(date +%s%N)
-if ! diff -q "$out1" "$out4" > /dev/null; then
-    echo "FAIL: fig18_speedup (default grain) differs between shards=1 and shards=4" >&2
-    diff "$out1" "$out4" >&2 || true
-    exit 1
-fi
-echo "default grain: shards=1 $(( (t1 - t0) / 1000000 )) ms, shards=4 $(( (t2 - t1) / 1000000 )) ms, CSV identical"
-# Explicit logical sharding (partitioned-accelerator semantics): still
-# worker-count invariant.
-./target/release/fig18_speedup --scale ci --shards 1 --shard-walks 512 > "$out1"
-./target/release/fig18_speedup --scale ci --shards 4 --shard-walks 512 > "$out4"
+$FIG fig18_speedup --scale ci --shards 1 --shard-walks 512 > "$out1"
+$FIG fig18_speedup --scale ci --shards 4 --shard-walks 512 > "$out4"
 if ! diff -q "$out1" "$out4" > /dev/null; then
     echo "FAIL: fig18_speedup (--shard-walks 512) differs between shards=1 and shards=4" >&2
     diff "$out1" "$out4" >&2 || true
@@ -70,13 +60,28 @@ if ! diff -q "$out1" "$out4" > /dev/null; then
 fi
 echo "shard-walks=512: CSV identical across worker counts"
 
+echo "== figure driver: malformed command lines exit 2 =="
+# A mistyped flag must not silently run the default (bench) scale, and
+# an unknown figure must name the valid ones.
+for cmd in "fig15_miss_rate --scal ci" "nope"; do
+    set +e
+    $FIG $cmd > /dev/null 2> "$out1"
+    rc=$?
+    set -e
+    if [ "$rc" -ne 2 ]; then
+        echo "FAIL: fig $cmd should exit 2 (usage), got $rc" >&2
+        exit 1
+    fi
+done
+grep -q "unknown figure 'nope'; one of: .*fig15_miss_rate" "$out1"
+echo "negative controls: an unknown flag and an unknown figure each exit 2"
+
 echo "== telemetry smoke: fig20_breakdown --trace-out / --metrics-out =="
-cargo build --release -p metal-bench --bin fig20_breakdown --bin analyze
 tdir=$(mktemp -d)
 trap 'rm -f "$out1" "$out4"; rm -rf "$tdir"' EXIT
 # A traced run must produce the same CSV as an untraced one…
-./target/release/fig20_breakdown --scale ci > "$tdir/plain.csv"
-./target/release/fig20_breakdown --scale ci \
+$FIG fig20_breakdown --scale ci > "$tdir/plain.csv"
+$FIG fig20_breakdown --scale ci \
     --trace-out "$tdir/trace.jsonl" --metrics-out "$tdir/manifest.json" \
     > "$tdir/traced.csv"
 if ! diff -q "$tdir/plain.csv" "$tdir/traced.csv" > /dev/null; then
@@ -93,9 +98,8 @@ grep -q "check-hits: per-level hit counts match" "$tdir/dump.txt"
 echo "trace parses; trace-derived hit levels match the manifest"
 
 echo "== telemetry cross-check: fig15 + fig24 traces vs manifests =="
-cargo build --release -p metal-bench --bin fig15_miss_rate --bin fig24_design_sweep
 for fig in fig15_miss_rate fig24_design_sweep; do
-    ./target/release/"$fig" --scale ci \
+    $FIG "$fig" --scale ci \
         --trace-out "$tdir/$fig.jsonl" --metrics-out "$tdir/$fig.manifest.json" \
         > /dev/null
     ./target/release/analyze "$tdir/$fig.jsonl" --manifest "$tdir/$fig.manifest.json" \
@@ -157,7 +161,6 @@ echo "negative control: truncated trace line fails with exit 2 naming file and l
 echo "== forensics: analyze the fig15 trace + schema gate =="
 # The offline analyzer must digest the ci-scale fig15 trace into a
 # schema-valid, conservation-checked ANALYSIS.json and an HTML report.
-cargo build --release -p metal-bench --bin analyze
 ./target/release/analyze "$tdir/fig15_miss_rate.jsonl" \
     --manifest "$tdir/fig15_miss_rate.manifest.json" \
     --out "$tdir/ANALYSIS.json" --html "$tdir/ANALYSIS.html" > "$tdir/analyze.txt"
@@ -168,8 +171,8 @@ echo "fig15 trace analyzed; ANALYSIS.json passes the schema/conservation gate"
 
 echo "== examples: all build, quickstart runs, run_figures.sh --dry-run =="
 # The examples are documentation that must keep compiling; quickstart is
-# cheap enough to actually execute. The figure driver's dry-run checks
-# every binary it references still builds, without touching results/.
+# cheap enough to actually execute. The figure script's dry-run checks
+# that `fig` knows every figure it names, without touching results/.
 cargo build --release --examples
 ./target/release/examples/quickstart > /dev/null
 ./run_figures.sh --dry-run > "$tdir/dryrun.txt"
@@ -208,8 +211,8 @@ echo "native fuzz smoke, width 8: 300 end-to-end cases, zero sim/native divergen
 echo "native fuzz smoke, width 2: 300 end-to-end cases, zero sim/native divergences"
 # The --verify flag cross-checks a subsample of every figure workload
 # against the reference accounting model, without touching the CSV.
-./target/release/fig15_miss_rate --scale ci --verify > "$tdir/verify.csv" 2> /dev/null
-./target/release/fig15_miss_rate --scale ci > "$tdir/plain15.csv" 2> /dev/null
+$FIG fig15_miss_rate --scale ci --verify > "$tdir/verify.csv" 2> /dev/null
+$FIG fig15_miss_rate --scale ci > "$tdir/plain15.csv" 2> /dev/null
 if ! diff -q "$tdir/plain15.csv" "$tdir/verify.csv" > /dev/null; then
     echo "FAIL: --verify changed the figure CSV" >&2
     exit 1
@@ -218,10 +221,9 @@ echo "--verify passes and leaves the CSV byte-identical"
 
 echo "== mutation sweep: write-ratio invariants + forged-stale-hit control =="
 # The CRUD sweep must keep result/structural counters design-invariant
-# (the binary aborts otherwise) and its trace must reconcile with the
-# manifest exactly, invalidations included.
-cargo build --release -p metal-bench --bin fig_write_sweep
-./target/release/fig_write_sweep --scale ci --write-ratio 25 \
+# (the figure aborts otherwise) and its trace over every write ratio
+# must reconcile with the manifest exactly, invalidations included.
+$FIG fig_write_sweep --scale ci \
     --trace-out "$tdir/wsweep.jsonl" --metrics-out "$tdir/wsweep.manifest.json" \
     > "$tdir/wsweep.csv"
 ./target/release/analyze "$tdir/wsweep.jsonl" --manifest "$tdir/wsweep.manifest.json" \
@@ -249,10 +251,10 @@ echo "== time-resolved telemetry: window conservation + shard invariance =="
 # to the whole-run aggregates (analyze --validate enforces the
 # conservation), the series must be byte-identical across worker
 # counts, and windowing must not perturb the figure CSV.
-./target/release/fig15_miss_rate --scale ci --shards 1 --epoch walks:512 \
+$FIG fig15_miss_rate --scale ci --shards 1 --epoch walks:512 \
     --analyze-out "$tdir/A_series.json" --series-out "$tdir/S1.json" \
     > "$tdir/f15_series1.csv" 2> /dev/null
-./target/release/fig15_miss_rate --scale ci --shards 4 --epoch walks:512 \
+$FIG fig15_miss_rate --scale ci --shards 4 --epoch walks:512 \
     --series-out "$tdir/S4.json" > "$tdir/f15_series4.csv" 2> /dev/null
 if ! diff -q "$tdir/plain15.csv" "$tdir/f15_series1.csv" > /dev/null; then
     echo "FAIL: --epoch/--series-out changed the figure CSV" >&2
@@ -279,34 +281,13 @@ if ./target/release/analyze --validate "$tdir/A_forged.json" 2> /dev/null; then
 fi
 echo "negative control: forged window counter fails validation with nonzero exit"
 
-echo "== native execution: backend equivalence + out-of-core gate =="
-# fig_native runs every native-capable design through both backends;
-# the ci-scale CSV is pinned to a committed golden and --check
-# re-verifies sim/native equivalence row pair by row pair.
-cargo build --release -p metal-bench --bin fig_native
-./target/release/fig_native --scale ci > "$tdir/native.csv" 2> /dev/null
-if ! grep -v '^#' "$tdir/native.csv" | diff - tests/goldens/fig_native_ci.csv; then
-    echo "FAIL: fig_native ci CSV drifted from tests/goldens/fig_native_ci.csv" >&2
-    exit 1
-fi
-./target/release/fig_native --check "$tdir/native.csv" > /dev/null
-echo "fig_native matches the golden; --check confirms backend equivalence"
-# Negative control: forge one native outcome cell (found 4000 -> 3999);
-# --check must exit nonzero naming the divergent column, or the
-# equivalence gate above proves nothing.
-sed 's/^where,stream,native,4000,4000,/where,stream,native,4000,3999,/' \
-    "$tdir/native.csv" > "$tdir/native_forged.csv"
-if ./target/release/fig_native --check "$tdir/native_forged.csv" \
-    > /dev/null 2> "$tdir/native_forged.txt"; then
-    echo "FAIL: fig_native --check exited 0 on a forged native outcome" >&2
-    exit 1
-fi
-grep -q "BACKEND DIVERGENCE where/stream: found" "$tdir/native_forged.txt"
-echo "negative control: forged native found-count fails --check with nonzero exit"
+echo "== native execution: measured telemetry + out-of-core gate =="
+# fig_native checks every sim/native row pair in-process (exit 1 on a
+# divergence); its ci-scale CSV is pinned by the golden figure test.
 # Measured telemetry: a traced native run must pass the same
 # schema/conservation gate as the simulator traces, and the HTML report
 # must carry the measured-vs-modeled table.
-./target/release/fig_native --scale ci \
+$FIG fig_native --scale ci \
     --trace-out "$tdir/native.jsonl" --metrics-out "$tdir/native.manifest.json" \
     > /dev/null 2> /dev/null
 ./target/release/analyze "$tdir/native.jsonl" \
@@ -318,13 +299,13 @@ echo "native trace passes the conservation gate; HTML has the measured table"
 # Out-of-core round trip: persist the trees as block files, reopen and
 # re-walk them, then corrupt one page — the reload must die with a
 # contextful error and exit 2 (usage/IO), not a panic or a wrong answer.
-./target/release/fig_native --scale ci --store "$tdir/blocks" > /dev/null 2> /dev/null
-./target/release/fig_native --scale ci --load "$tdir/blocks" > /dev/null 2> /dev/null
+$FIG fig_native --scale ci --store "$tdir/blocks" > /dev/null 2> /dev/null
+$FIG fig_native --scale ci --load "$tdir/blocks" > /dev/null 2> /dev/null
 echo "block files persist and reopen; re-walks agree with the in-memory build"
 blk=$(ls "$tdir"/blocks/*.blk | head -1)
 printf 'XXXXXXXX' | dd of="$blk" bs=1 seek=4096 conv=notrunc 2> /dev/null
 set +e
-./target/release/fig_native --scale ci --load "$tdir/blocks" \
+$FIG fig_native --scale ci --load "$tdir/blocks" \
     > /dev/null 2> "$tdir/load_err.txt"
 rc=$?
 set -e
@@ -336,23 +317,11 @@ fi
 grep -q "error: --load .*corrupted" "$tdir/load_err.txt"
 echo "negative control: corrupted page fails --load with exit 2 and a contextful error"
 
-echo "== MLP window: fig_mlp golden + width-1 identity =="
-# fig_mlp sweeps --mlp-width 1/2/4/8 through both backends; the modeled
-# CSV on stdout must match its pinned golden (measured walks/sec stay on
-# stderr), and the fig_mlp_golden test additionally pins shard
-# invariance of the same rows.
-cargo build --release -p metal-bench --bin fig_mlp
-./target/release/fig_mlp --scale ci > "$tdir/mlp.csv" 2> /dev/null
-if ! grep -v '^#' "$tdir/mlp.csv" | diff - tests/goldens/fig_mlp_ci.csv; then
-    echo "FAIL: fig_mlp ci CSV drifted from tests/goldens/fig_mlp_ci.csv" >&2
-    exit 1
-fi
-echo "fig_mlp matches the golden"
+echo "== MLP window: width-1 identity =="
 # --mlp-width 1 must be the serial pre-MLP engine bit for bit: an
-# explicit width-1 run of a figure binary is byte-identical to a plain
-# one.
-./target/release/fig18_speedup --scale ci > "$tdir/f18_plain.csv" 2> /dev/null
-./target/release/fig18_speedup --scale ci --mlp-width 1 > "$tdir/f18_w1.csv" 2> /dev/null
+# explicit width-1 run of a figure is byte-identical to a plain one.
+$FIG fig18_speedup --scale ci > "$tdir/f18_plain.csv" 2> /dev/null
+$FIG fig18_speedup --scale ci --mlp-width 1 > "$tdir/f18_w1.csv" 2> /dev/null
 if ! diff -q "$tdir/f18_plain.csv" "$tdir/f18_w1.csv" > /dev/null; then
     echo "FAIL: --mlp-width 1 changed the fig18 CSV" >&2
     diff "$tdir/f18_plain.csv" "$tdir/f18_w1.csv" >&2 || true
@@ -360,24 +329,18 @@ if ! diff -q "$tdir/f18_plain.csv" "$tdir/f18_w1.csv" > /dev/null; then
 fi
 echo "--mlp-width 1 leaves the figure CSV byte-identical"
 
-echo "== cycle accounting: fig_breakdown golden + conservation forge =="
+echo "== cycle accounting: traced fig_breakdown + conservation forge =="
 # fig_breakdown decomposes every simulated cycle into the five
-# attribution components (ix_probe/compute/queue/stall/hidden); the
-# ci-scale CSV is pinned to a golden and the binary itself re-checks
-# the partition identity on every row before printing it.
-cargo build --release -p metal-bench --bin fig_breakdown
-./target/release/fig_breakdown --scale ci > "$tdir/breakdown.csv" 2> /dev/null
-if ! grep -v '^#' "$tdir/breakdown.csv" | diff - tests/goldens/fig_breakdown_ci.csv; then
-    echo "FAIL: fig_breakdown ci CSV drifted from tests/goldens/fig_breakdown_ci.csv" >&2
-    exit 1
-fi
-echo "fig_breakdown matches the golden"
+# attribution components (ix_probe/compute/queue/stall/hidden) and
+# re-checks the partition identity on every row before printing it; its
+# ci-scale CSV is pinned by the golden figure test.
+$FIG fig_breakdown --scale ci > "$tdir/breakdown.csv" 2> /dev/null
 # A traced, windowed run must leave the CSV byte-identical (telemetry
 # stays observe-only) and produce an ANALYSIS.json whose breakdown
 # sections pass the conservation rows: components sum to the walk
 # latencies, the busiest lane reconciles with the exec horizon, and the
 # per-epoch cycle columns sum to the section totals.
-./target/release/fig_breakdown --scale ci --epoch walks:512 \
+$FIG fig_breakdown --scale ci --epoch walks:512 \
     --trace-out "$tdir/bkdn.jsonl" --metrics-out "$tdir/bkdn.manifest.json" \
     > "$tdir/breakdown_traced.csv" 2> /dev/null
 if ! diff -q "$tdir/breakdown.csv" "$tdir/breakdown_traced.csv" > /dev/null; then
@@ -407,22 +370,25 @@ fi
 grep -q "components sum to" "$tdir/bkdn_forged.txt"
 echo "negative control: inflated stall cycles fail validation naming the identity"
 
-echo "== docs: link/flag/binary existence check =="
+echo "== docs: link/flag/figure existence check =="
 # Grep-based drift gate over README.md, DESIGN.md, ARCHITECTURE.md and
-# PERFORMANCE.md: every binary-shaped name, CLI flag and results/ file a
-# doc mentions must exist somewhere in the tree (generated results/ files
+# PERFORMANCE.md: every figure-shaped name must be a figure `fig` knows
+# (or a pinned golden, or a test target), every tool a bin target, and every CLI flag and
+# results/ file a doc mentions must exist (generated results/ files
 # count when run_figures.sh produces them), so the docs cannot silently
-# rot as binaries and flags are renamed.
+# rot as figures and flags are renamed.
 docs="README.md DESIGN.md ARCHITECTURE.md PERFORMANCE.md"
 docfail=0
-# Binary-shaped identifiers (fig*/table*/abl_* plus the named tools):
-# each must be a bin target, a pinned golden, or a real identifier.
-for name in $(grep -ohE '\b(fig|table|abl)[a-z0-9]*_[a-z0-9_]+\b' $docs \
-              | sort -u) analyze ix_fuzz; do
-    if ls crates/*/src/bin/"$name".rs > /dev/null 2>&1; then continue; fi
+for name in $(grep -ohE '\b(fig[0-9]*[a-z]?|table[0-9]+|abl)_[a-z0-9_]+\b' $docs | sort -u); do
+    if $FIG "$name" --help > /dev/null 2>&1; then continue; fi
     if [ -e "tests/goldens/$name.csv" ]; then continue; fi
-    if grep -rqF "$name" crates/ tests/ ./*.sh; then continue; fi
-    echo "FAIL: docs name '$name' but nothing in the tree defines it" >&2
+    if [ -e "crates/bench/tests/$name.rs" ]; then continue; fi
+    echo "FAIL: docs name '$name' but fig does not know it" >&2
+    docfail=1
+done
+for tool in fig analyze ix_fuzz; do
+    if ls crates/*/src/bin/"$tool".rs > /dev/null 2>&1; then continue; fi
+    echo "FAIL: docs name the tool '$tool' but no bin target defines it" >&2
     docfail=1
 done
 # CLI flags: every --flag a doc names must appear in the source or a
@@ -441,7 +407,7 @@ for f in $(grep -ohE 'results/[A-Za-z0-9_.]+' $docs | sort -u); do
     docfail=1
 done
 [ "$docfail" -eq 0 ]
-echo "doc-link check: every named binary, flag and results/ file exists"
+echo "doc-link check: every named figure, tool, flag and results/ file exists"
 
 echo "== repository benchmark: unit tests + smoke run =="
 # benchmark/ is a package of its own, not a workspace member, so nothing

@@ -1,22 +1,23 @@
-//! # metal-bench — harness utilities for regenerating the paper's figures
+//! # metal-bench — the harness that regenerates the paper's figures
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index); this library
-//! holds what they share: command-line scale selection, the
-//! workload × design sweep, and CSV output.
+//! [`figures::FIGURES`] registers one entry per table or figure of the
+//! paper's evaluation (see DESIGN.md's experiment index), and the `fig`
+//! binary runs one of them by name: `fig NAME [flags]`. This library
+//! holds the registry and what its entries share: the flags
+//! ([`HarnessArgs`]), the observability [`Session`], the workload ×
+//! design sweep and CSV output.
 //!
-//! Output convention: every binary prints a CSV with a header row to
+//! Output convention: every figure prints a CSV with a header row to
 //! stdout, prefixed by `#`-comment lines describing the experiment and
 //! the paper's expectation, so the harness output is both human-checkable
 //! and machine-parsable.
 
+pub mod figures;
 pub mod micro;
 
 use metal_core::models::DesignSpec;
 use metal_core::native::NativeMetrics;
-use metal_core::runner::{
-    run_design, Backend, ObsConfig, RunConfig, RunReport, DEFAULT_SHARD_WALKS,
-};
+use metal_core::runner::{self, Backend, ObsConfig, RunConfig, RunReport, DEFAULT_SHARD_WALKS};
 use metal_core::IxConfig;
 use metal_obs::manifest::RunManifest;
 use metal_obs::watchdog::{analysis_document, scan_analysis, WatchdogConfig};
@@ -34,8 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Process exit codes shared by every harness binary (`analyze`, the
-/// figure binaries). The full table is documented in
+/// Process exit codes shared by the harness binaries (`fig`,
+/// `analyze`). The full table is documented in
 /// PERFORMANCE.md.
 pub mod exit {
     /// Success.
@@ -49,7 +50,7 @@ pub mod exit {
 }
 
 /// Prints a contextful error and exits with [`exit::USAGE_IO`]. The
-/// harness binaries use this for user-facing I/O and parse failures (bad
+/// harness uses this for user-facing I/O and parse failures (bad
 /// paths, unreadable input) where a panic's backtrace would bury the
 /// actual problem; internal invariant violations still panic.
 pub fn fail(msg: impl std::fmt::Display) -> ! {
@@ -57,7 +58,8 @@ pub fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(exit::USAGE_IO);
 }
 
-/// Command-line arguments shared by all harness binaries.
+/// The flags of `fig NAME [flags]`: the ones every figure shares, plus
+/// `fig_native`'s `--store DIR` / `--load DIR`.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Dataset/run scale.
@@ -116,6 +118,10 @@ pub struct HarnessArgs {
     /// Semantic outcomes are width-invariant; only timing (sim) and
     /// measured throughput / I/O attribution (native) change.
     pub mlp_width: usize,
+    /// `--store DIR`: `fig_native` persists its trees under DIR.
+    pub store: Option<PathBuf>,
+    /// `--load DIR`: `fig_native` reopens the trees stored under DIR.
+    pub load: Option<PathBuf>,
 }
 
 /// The `METAL_SHARDS` worker-count override, `0` (= all cores) when the
@@ -143,15 +149,17 @@ impl Default for HarnessArgs {
             flight_out: None,
             backend: Backend::Sim,
             mlp_width: 1,
+            store: None,
+            load: None,
         }
     }
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args()`:
+    /// Parses the flags after `fig NAME`:
     ///
     /// - `--scale ci|bench|paper`
-    /// - `--keys N`, `--walks N`, `--depth N`, `--seed N`
+    /// - `--keys N`, `--walks N`, `--depth N` (at most 255), `--seed N`
     /// - `--cache-kb N`
     /// - `--shards N` (worker threads; 0 = all cores; also settable via
     ///   `METAL_SHARDS`)
@@ -161,98 +169,93 @@ impl HarnessArgs {
     /// - `--metrics-out PATH` (run-manifest JSON)
     /// - `--analyze-out PATH` (forensic `ANALYSIS.json` + HTML report)
     /// - `--verify` (subsampled reference cross-check per workload)
+    /// - `--epoch SPEC`, `--series-out PATH` (needs `--epoch`),
+    ///   `--flight-out PATH`
+    /// - `--backend sim|native`, `--mlp-width N` (at least 1)
+    /// - `--store DIR`, `--load DIR` (`fig_native` only; `fig` rejects
+    ///   them for any other figure)
     ///
-    /// Unknown flags are ignored so figure-specific binaries can add
-    /// their own.
-    ///
-    /// `--help`/`-h` prints the shared flag reference (plus pointers to
-    /// README.md and PERFORMANCE.md) and exits; [`parse_from`] stays pure
-    /// so it remains testable.
-    ///
-    /// [`parse_from`]: HarnessArgs::parse_from
-    pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            print_usage();
-            std::process::exit(0);
-        }
-        Self::parse_from(args)
-    }
-
-    /// Parses from an explicit iterator (testable).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    /// Any other flag, a missing or malformed value, or an out-of-range
+    /// number is an error naming the flag.
+    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = HarnessArgs::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--scale" => {
-                    let v = it.next().unwrap_or_default();
-                    out.scale = match v.as_str() {
+                    out.scale = match next_str(&mut it, "--scale")?.as_str() {
                         "ci" => Scale::ci(),
                         "bench" => Scale::bench(),
                         "paper" => Scale::paper(),
-                        other => panic!("unknown scale '{other}' (ci|bench|paper)"),
+                        other => return Err(format!("unknown scale '{other}' (ci|bench|paper)")),
                     };
                 }
-                "--keys" => out.scale.keys = next_u64(&mut it, "--keys"),
-                "--walks" => out.scale.walks = next_u64(&mut it, "--walks"),
-                "--depth" => out.scale.depth = next_u64(&mut it, "--depth") as u8,
-                "--seed" => out.scale.seed = next_u64(&mut it, "--seed"),
-                "--cache-kb" => out.cache_bytes = next_u64(&mut it, "--cache-kb") as usize * 1024,
-                "--shards" => out.shards = next_u64(&mut it, "--shards") as usize,
+                "--keys" => out.scale.keys = next_u64(&mut it, "--keys")?,
+                "--walks" => out.scale.walks = next_u64(&mut it, "--walks")?,
+                "--depth" => {
+                    let depth = next_u64(&mut it, "--depth")?;
+                    out.scale.depth = u8::try_from(depth)
+                        .map_err(|_| format!("--depth {depth} is out of range (0-255)"))?;
+                }
+                "--seed" => out.scale.seed = next_u64(&mut it, "--seed")?,
+                "--cache-kb" => {
+                    let kb = next_u64(&mut it, "--cache-kb")?;
+                    out.cache_bytes = usize::try_from(kb)
+                        .ok()
+                        .and_then(|kb| kb.checked_mul(1024))
+                        .ok_or_else(|| format!("--cache-kb {kb} overflows a byte count"))?;
+                }
+                "--shards" => out.shards = next_usize(&mut it, "--shards")?,
                 "--shard-walks" => {
-                    out.shard_walks = match next_u64(&mut it, "--shard-walks") {
+                    out.shard_walks = match next_u64(&mut it, "--shard-walks")? {
                         0 => DEFAULT_SHARD_WALKS,
                         n => n,
                     }
                 }
-                "--trace-out" => {
-                    out.trace_out = Some(PathBuf::from(next_str(&mut it, "--trace-out")))
-                }
+                "--trace-out" => out.trace_out = Some(next_str(&mut it, "--trace-out")?.into()),
                 "--metrics-out" => {
-                    out.metrics_out = Some(PathBuf::from(next_str(&mut it, "--metrics-out")))
+                    out.metrics_out = Some(next_str(&mut it, "--metrics-out")?.into())
                 }
                 "--analyze-out" => {
-                    out.analyze_out = Some(PathBuf::from(next_str(&mut it, "--analyze-out")))
+                    out.analyze_out = Some(next_str(&mut it, "--analyze-out")?.into())
                 }
                 "--verify" => out.verify = true,
                 "--epoch" => {
-                    let v = next_str(&mut it, "--epoch");
+                    let v = next_str(&mut it, "--epoch")?;
                     out.epoch =
-                        Some(EpochSpec::parse(&v).unwrap_or_else(|e| panic!("--epoch {v}: {e}")));
+                        Some(EpochSpec::parse(&v).map_err(|e| format!("--epoch {v}: {e}"))?);
                 }
-                "--series-out" => {
-                    out.series_out = Some(PathBuf::from(next_str(&mut it, "--series-out")))
-                }
-                "--flight-out" => {
-                    out.flight_out = Some(PathBuf::from(next_str(&mut it, "--flight-out")))
-                }
+                "--series-out" => out.series_out = Some(next_str(&mut it, "--series-out")?.into()),
+                "--flight-out" => out.flight_out = Some(next_str(&mut it, "--flight-out")?.into()),
                 "--backend" => {
-                    let v = next_str(&mut it, "--backend");
-                    out.backend = match v.as_str() {
+                    out.backend = match next_str(&mut it, "--backend")?.as_str() {
                         "sim" => Backend::Sim,
                         "native" => Backend::Native,
-                        other => panic!("unknown backend '{other}' (sim|native)"),
+                        other => return Err(format!("unknown backend '{other}' (sim|native)")),
                     };
                 }
                 "--mlp-width" => {
-                    out.mlp_width = match next_u64(&mut it, "--mlp-width") as usize {
-                        0 => panic!("--mlp-width must be at least 1"),
+                    out.mlp_width = match next_usize(&mut it, "--mlp-width")? {
+                        0 => return Err("--mlp-width must be at least 1".into()),
                         w => w,
                     }
                 }
-                _ => {}
+                "--store" => out.store = Some(next_str(&mut it, "--store")?.into()),
+                "--load" => out.load = Some(next_str(&mut it, "--load")?.into()),
+                flag => return Err(format!("unknown flag '{flag}' (see fig --help)")),
             }
         }
         if out.series_out.is_some() && out.epoch.is_none() {
-            panic!("--series-out requires --epoch (the series is windowed by definition)");
+            return Err(
+                "--series-out requires --epoch (the series is windowed by definition)".into(),
+            );
         }
-        out
+        Ok(out)
     }
 
     /// The execution half of these arguments as a [`RunConfig`] (worker
     /// threads + shard grain). Lanes are workload-specific, so
-    /// `run_workload`/`run_one` fill them in per workload.
+    /// [`run_built`]/[`run_design`] fill them in per workload.
     pub fn run_config(&self) -> RunConfig {
         RunConfig::default()
             .with_shards(self.shards)
@@ -263,48 +266,19 @@ impl HarnessArgs {
     }
 }
 
-/// Prints the flag reference shared by every figure binary.
-fn print_usage() {
-    println!(
-        "Shared figure-harness flags (unknown flags are ignored):\n\
-         \n\
-           --scale ci|bench|paper   workload scale preset (default: bench)\n\
-           --keys N                 override keyspace size\n\
-           --walks N                override walk count\n\
-           --depth N                override index depth\n\
-           --seed N                 override workload RNG seed\n\
-           --cache-kb N             IX-cache capacity in KiB (default: 64)\n\
-           --shards N               worker threads; 0 = all cores\n\
-           --shard-walks N          logical-shard grain (opt-in machine model)\n\
-           --trace-out PATH         write a JSONL event trace (+ Chrome export)\n\
-           --metrics-out PATH       write a run-manifest JSON\n\
-           --analyze-out PATH       write forensic ANALYSIS.json + HTML report\n\
-           --verify                 cross-check a subsample against metal-verify\n\
-           --epoch SPEC             window telemetry (cycles:N | walks:M | M)\n\
-           --series-out PATH        write the per-epoch series JSON (needs --epoch)\n\
-           --flight-out PATH        flight-recorder ring, dumped as trace JSONL\n\
-           --backend sim|native     execution backend (default: sim); native\n\
-                                    executes paged B+tree nodes for real\n\
-           --mlp-width N            walks kept in flight per worker (default: 1\n\
-                                    = serial; semantics are width-invariant)\n\
-         \n\
-         Environment: METAL_SHARDS (worker-thread default),\n\
-         METAL_HEARTBEAT_SECS (progress heartbeat; 0 disables).\n\
-         \n\
-         The full CLI reference lives in README.md; how speed is measured\n\
-         (the repository benchmark, benchmark/run.sh) is in PERFORMANCE.md."
-    );
+fn next_str(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    it.next().ok_or_else(|| format!("{flag} needs an argument"))
 }
 
-fn next_u64(it: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
-    it.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("{flag} needs a numeric argument"))
+fn next_u64(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, String> {
+    let v = next_str(it, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag} needs a numeric argument, got '{v}'"))
 }
 
-fn next_str(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    it.next()
-        .unwrap_or_else(|| panic!("{flag} needs an argument"))
+fn next_usize(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+    let v = next_u64(it, flag)?;
+    usize::try_from(v).map_err(|_| format!("{flag} {v} is out of range"))
 }
 
 /// Heartbeat period from `METAL_HEARTBEAT_SECS` (default 5; 0 disables).
@@ -400,16 +374,16 @@ impl Drop for Heartbeat {
     }
 }
 
-/// Per-binary observability session: owns the trace writers, metrics
+/// Per-figure observability session: owns the trace writers, metrics
 /// registry, run manifest and heartbeat configured by [`HarnessArgs`],
 /// and hands out [`RunConfig`]s wired to them.
 ///
-/// Usage pattern (see any figure binary):
+/// Usage pattern (the `fig` binary opens and finishes the session, the
+/// figure in between runs and records):
 ///
 /// ```ignore
-/// let args = HarnessArgs::parse();
 /// let mut session = Session::new("fig20_breakdown", &args);
-/// let report = run_one(w, args.scale, &spec, None, session.config("spmm/ix"));
+/// let report = run_design(&built, &spec, session.config("spmm/ix"));
 /// session.record("spmm/ix", &report.design, &report.stats);
 /// session.finish();
 /// ```
@@ -442,7 +416,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a session for binary `run`, creating the output files named
+    /// Opens a session for figure `run`, creating the output files named
     /// by `args` up front (so path errors surface before simulating).
     pub fn new(run: &str, args: &HarnessArgs) -> Session {
         let mut manifest = RunManifest::new(run);
@@ -615,11 +589,6 @@ impl Session {
                 .attach_native(scope, design, native_metrics_json(m));
         }
     }
-
-    /// Total walks simulated so far (the heartbeat's counter).
-    pub fn walks_simulated(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-    }
 }
 
 /// Serializes measured native-execution metrics as the manifest's
@@ -765,28 +734,10 @@ pub fn figure_designs(built: &BuiltWorkload, cache_bytes: usize) -> Vec<(String,
     ]
 }
 
-/// Runs one workload under all figure designs. `cfg` carries the
+/// Runs a built workload under all figure designs. `cfg` carries the
 /// execution knobs (worker threads, shard grain — see
 /// [`HarnessArgs::run_config`]); its lane count is overridden by the
 /// workload's tile count.
-pub fn run_workload(
-    workload: Workload,
-    scale: Scale,
-    cache_bytes: usize,
-    cfg: RunConfig,
-) -> Vec<(String, RunReport)> {
-    let built = workload.build(scale);
-    let exp = built.experiment();
-    let cfg = cfg.with_lanes(built.tiles);
-    let (names, specs): (Vec<String>, Vec<DesignSpec>) =
-        figure_designs(&built, cache_bytes).into_iter().unzip();
-    let reports = metal_core::runner::run_designs_parallel(&specs, &exp, &cfg);
-    names.into_iter().zip(reports).collect()
-}
-
-/// Runs an already-built workload under all figure designs (the
-/// [`run_workload`] core for workloads outside the Table 2 roster, e.g.
-/// the parameterized `uniform_std_v1` CRUD mix).
 pub fn run_built(
     built: &BuiltWorkload,
     cache_bytes: usize,
@@ -796,45 +747,14 @@ pub fn run_built(
     let cfg = cfg.with_lanes(built.tiles);
     let (names, specs): (Vec<String>, Vec<DesignSpec>) =
         figure_designs(built, cache_bytes).into_iter().unzip();
-    let reports = metal_core::runner::run_designs_parallel(&specs, &exp, &cfg);
+    let reports = runner::run_designs_parallel(&specs, &exp, &cfg);
     names.into_iter().zip(reports).collect()
 }
 
-/// The write-ratio sweep CSV header (`fig_write_sweep`).
-pub fn write_sweep_header() -> String {
-    csv_line([
-        "write_ratio",
-        "design",
-        "miss_rate",
-        "speedup",
-        "found_walks",
-        "write_walks",
-        "node_splits",
-        "node_merges",
-    ])
-}
-
-/// The write-ratio sweep rows for one ratio: per-design miss rate,
-/// speedup over streaming, and the result/structural counters that a
-/// stale cached short-circuit would skew. Shared by the
-/// `fig_write_sweep` binary and the golden-file regression test.
-pub fn write_sweep_rows(ratio: u8, reports: &[(String, RunReport)]) -> Vec<String> {
-    let stream = by_design(reports, "stream");
-    reports
-        .iter()
-        .map(|(name, r)| {
-            csv_line([
-                ratio.to_string(),
-                name.clone(),
-                f3(r.stats.miss_rate()),
-                f3(r.speedup_vs(stream)),
-                r.stats.found_walks.to_string(),
-                r.stats.write_walks.to_string(),
-                r.stats.node_splits.to_string(),
-                r.stats.node_merges.to_string(),
-            ])
-        })
-        .collect()
+/// Runs a built workload under one design, on the workload's tile
+/// count as in [`run_built`].
+pub fn run_design(built: &BuiltWorkload, spec: &DesignSpec, cfg: RunConfig) -> RunReport {
+    runner::run_design(spec, &built.experiment(), &cfg.with_lanes(built.tiles))
 }
 
 /// The `--verify` cross-check for one workload: rebuilds it at a
@@ -870,30 +790,10 @@ pub fn verify_workload(workload: Workload, scale: Scale, cache_bytes: usize, cfg
     );
 }
 
-/// Runs one workload under one design. `cfg` carries the execution knobs
-/// as in [`run_workload`].
-pub fn run_one(
-    workload: Workload,
-    scale: Scale,
-    spec: &DesignSpec,
-    lanes_override: Option<usize>,
-    cfg: RunConfig,
-) -> RunReport {
-    let built = workload.build(scale);
-    let exp = built.experiment();
-    let cfg = cfg.with_lanes(lanes_override.unwrap_or(built.tiles));
-    run_design(spec, &exp, &cfg)
-}
-
-/// Formats a CSV row, comma-separated, no trailing comma.
-pub fn csv_line<S: AsRef<str>>(cells: impl IntoIterator<Item = S>) -> String {
-    let row: Vec<String> = cells.into_iter().map(|s| s.as_ref().to_string()).collect();
-    row.join(",")
-}
-
 /// Prints a CSV row, comma-separated, no trailing comma.
 pub fn csv_row<S: AsRef<str>>(cells: impl IntoIterator<Item = S>) {
-    println!("{}", csv_line(cells));
+    let row: Vec<String> = cells.into_iter().map(|s| s.as_ref().to_string()).collect();
+    println!("{}", row.join(","));
 }
 
 fn by_design<'a>(reports: &'a [(String, RunReport)], name: &str) -> &'a RunReport {
@@ -902,93 +802,6 @@ fn by_design<'a>(reports: &'a [(String, RunReport)], name: &str) -> &'a RunRepor
         .find(|(n, _)| n == name)
         .map(|(_, r)| r)
         .unwrap_or_else(|| panic!("design '{name}' missing from figure reports"))
-}
-
-/// The `fig_mlp` sweep axis: MLP window widths (walks in flight per
-/// worker). Width 1 is the serial baseline every other width's speedup
-/// is computed against.
-pub const MLP_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// The `fig_mlp` CSV header row.
-pub fn fig_mlp_header() -> String {
-    csv_line([
-        "workload",
-        "design",
-        "mlp_width",
-        "exec_cycles",
-        "modeled_speedup",
-        "found",
-        "probes",
-        "misses",
-    ])
-}
-
-/// One `fig_mlp` row: the modeled cycle count at this width, its
-/// speedup over the same design's serial (width-1) run, and the
-/// semantic counters — which must not move anywhere along the sweep
-/// (MLP is a pure performance mechanism). Shared by the `fig_mlp`
-/// binary and the golden-file regression test, so the pinned bytes are
-/// produced by the exact code that writes `results/fig_mlp.csv`.
-pub fn fig_mlp_row(
-    workload: &str,
-    design: &str,
-    width: usize,
-    serial: &RunReport,
-    r: &RunReport,
-) -> String {
-    csv_line([
-        workload.to_string(),
-        design.to_string(),
-        width.to_string(),
-        r.stats.exec_cycles.get().to_string(),
-        f3(r.speedup_vs(serial)),
-        r.stats.found_walks.to_string(),
-        r.stats.probes.to_string(),
-        r.stats.misses.to_string(),
-    ])
-}
-
-/// The Fig. 15 CSV header row.
-pub fn fig15_header() -> String {
-    csv_line(["workload", "fa-opt", "x-cache", "metal-ix", "metal"])
-}
-
-/// One Fig. 15 data row (probe miss rate per design) from a
-/// [`figure_designs`] report set. Shared by the `fig15_miss_rate`
-/// binary and the golden-file regression test, so the pinned bytes are
-/// produced by the exact code that writes `results/fig15_miss_rate.csv`.
-pub fn fig15_row(workload: &str, reports: &[(String, RunReport)]) -> String {
-    let mr = |name: &str| f3(by_design(reports, name).stats.miss_rate());
-    csv_line([
-        workload.to_string(),
-        mr("fa-opt"),
-        mr("x-cache"),
-        mr("metal-ix"),
-        mr("metal"),
-    ])
-}
-
-/// The Fig. 18 CSV header row.
-pub fn fig18_header() -> String {
-    csv_line([
-        "workload", "address", "fa-opt", "x-cache", "metal-ix", "metal",
-    ])
-}
-
-/// One Fig. 18 data row (speedup over streaming) from a
-/// [`figure_designs`] report set. Shared by the `fig18_speedup` binary
-/// and the golden-file regression test.
-pub fn fig18_row(workload: &str, reports: &[(String, RunReport)]) -> String {
-    let stream = by_design(reports, "stream");
-    let speedup = |name: &str| f3(by_design(reports, name).speedup_vs(stream));
-    csv_line([
-        workload.to_string(),
-        speedup("address"),
-        speedup("fa-opt"),
-        speedup("x-cache"),
-        speedup("metal-ix"),
-        speedup("metal"),
-    ])
 }
 
 /// Formats a float to three significant decimals for CSV cells.
@@ -1000,8 +813,17 @@ pub fn f3(x: f64) -> String {
 mod tests {
     use super::*;
 
-    fn args(s: &str) -> HarnessArgs {
+    fn parse(s: &str) -> Result<HarnessArgs, String> {
         HarnessArgs::parse_from(s.split_whitespace().map(|s| s.to_string()))
+    }
+
+    fn args(s: &str) -> HarnessArgs {
+        parse(s).expect("valid flags")
+    }
+
+    fn rejected(s: &str, why: &str) {
+        let err = parse(s).expect_err(s);
+        assert!(err.contains(why), "{s}: error '{err}' does not say '{why}'");
     }
 
     #[test]
@@ -1028,15 +850,26 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_ignored() {
-        let a = args("--frobnicate 7 --keys 10");
-        assert_eq!(a.scale.keys, 10);
+    fn unknown_flag_rejected() {
+        rejected("--frobnicate 7 --keys 10", "unknown flag '--frobnicate'");
+        rejected("--scal ci", "unknown flag '--scal'");
+        rejected("--store", "--store needs an argument");
+        assert_eq!(args("--store a --store b").store, Some("b".into()));
+        assert_eq!(args("").load, None);
     }
 
     #[test]
-    #[should_panic(expected = "unknown scale")]
+    fn malformed_numbers_rejected() {
+        rejected("--keys x", "--keys needs a numeric argument, got 'x'");
+        rejected("--keys", "--keys needs an argument");
+        rejected("--depth 300", "--depth 300 is out of range");
+        rejected("--cache-kb 18446744073709551615", "overflows");
+        assert_eq!(args("--depth 255").scale.depth, 255);
+    }
+
+    #[test]
     fn bad_scale_rejected() {
-        let _ = args("--scale huge");
+        rejected("--scale huge", "unknown scale");
     }
 
     #[test]
@@ -1064,9 +897,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown backend")]
     fn bad_backend_rejected() {
-        let _ = args("--backend hardware");
+        rejected("--backend hardware", "unknown backend");
     }
 
     #[test]
@@ -1079,9 +911,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--mlp-width must be at least 1")]
     fn zero_mlp_width_rejected() {
-        let _ = args("--mlp-width 0");
+        rejected("--mlp-width 0", "--mlp-width must be at least 1");
     }
 
     #[test]
@@ -1107,9 +938,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--series-out requires --epoch")]
     fn series_without_epoch_rejected() {
-        let _ = args("--series-out out/SERIES.json");
+        rejected(
+            "--series-out out/SERIES.json",
+            "--series-out requires --epoch",
+        );
     }
 
     #[test]
@@ -1124,14 +957,8 @@ mod tests {
 
     #[test]
     fn run_one_smoke() {
-        let scale = Scale::ci().with_keys(2000).with_walks(300);
-        let r = run_one(
-            Workload::Where,
-            scale,
-            &DesignSpec::Stream,
-            None,
-            RunConfig::default(),
-        );
+        let built = Workload::Where.build(Scale::ci().with_keys(2000).with_walks(300));
+        let r = run_design(&built, &DesignSpec::Stream, RunConfig::default());
         assert_eq!(r.stats.walks, 300);
     }
 }

@@ -1,139 +1,11 @@
-//! Golden-file regression gate for the cycle-accounting sweep
-//! (`fig_breakdown`).
-//!
-//! Pins the ci-scale breakdown CSV — exact integer cycle components per
-//! (workload, design, MLP width) — byte-for-byte against
-//! `tests/goldens/fig_breakdown_ci.csv` at the repo root, and asserts
-//! the rows are identical between 1 and 4 worker shards (the breakdown
-//! totals merge by field-wise sum, so worker count must never move a
-//! cycle between components).
-//!
-//! Every row is additionally checked against the conservation identity
-//! the figure gates: the five components sum exactly to the run's total
-//! walk latency.
-//!
-//! Regenerate after an intentional model change with:
-//!
-//! ```text
-//! METAL_UPDATE_GOLDENS=1 cargo test -p metal-bench --test fig_breakdown_golden
-//! ```
+//! Golden-file regression gate for the cycle-accounting figure
+//! (`fig_breakdown`). The per-row conservation identity and hidden = 0
+//! at width 1 are checked by the figure itself, which exits 1 on a
+//! violation and so fails this test (harness: `golden/mod.rs`).
 
-use metal_bench::figure_designs;
-use metal_core::runner::{run_design, RunConfig};
-use metal_workloads::crud::uniform_std_v1;
-use metal_workloads::drift::drift_hotspot_v1;
-use metal_workloads::{BuiltWorkload, Scale, Workload};
-use std::path::PathBuf;
-
-const CACHE_BYTES: usize = 64 * 1024;
-const WIDTHS: [usize; 2] = [1, 8];
-
-/// The binary's workload roster (`fig_breakdown::workloads`), ci scale.
-fn workloads() -> Vec<BuiltWorkload> {
-    let scale = Scale::ci();
-    vec![
-        Workload::Where.build(scale),
-        uniform_std_v1(scale, 30),
-        drift_hotspot_v1(scale),
-    ]
-}
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("tests/goldens/fig_breakdown_ci.csv")
-}
-
-fn check_golden(produced: &str) {
-    let path = golden_path();
-    if std::env::var("METAL_UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, produced).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\n(run with METAL_UPDATE_GOLDENS=1 to create)",
-            path.display()
-        )
-    });
-    if produced != want {
-        let diff: Vec<String> = produced
-            .lines()
-            .zip(want.lines())
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| format!("  got:  {a}\n  want: {b}"))
-            .collect();
-        panic!(
-            "fig_breakdown_ci.csv diverged from its golden ({} differing rows):\n{}\n\
-             If this change is intentional, regenerate with\n\
-             METAL_UPDATE_GOLDENS=1 cargo test -p metal-bench --test fig_breakdown_golden",
-            diff.len(),
-            diff.join("\n")
-        );
-    }
-}
-
-/// The sweep's rows for one worker count, exactly as the binary prints
-/// them (simulator runs only — the CSV carries no measured numbers).
-fn sweep_rows(shards: usize) -> Vec<String> {
-    let mut rows = vec![
-        "workload,design,width,walks,ix_probe_cycles,compute_cycles,queue_cycles,\
-         stall_cycles,hidden_cycles,total_cycles"
-            .to_string(),
-    ];
-    for built in workloads() {
-        let exp = built.experiment();
-        for (name, spec) in figure_designs(&built, CACHE_BYTES) {
-            for width in WIDTHS {
-                let cfg = RunConfig::default()
-                    .with_lanes(built.tiles)
-                    .with_shards(shards)
-                    .with_mlp_width(width);
-                let r = run_design(&spec, &exp, &cfg);
-                let b = &r.stats.breakdown;
-                assert_eq!(
-                    b.total(),
-                    r.stats.walk_latency.total(),
-                    "{}/{name}@w{width}: breakdown components must sum to the \
-                     total walk latency",
-                    built.name
-                );
-                if width == 1 {
-                    assert_eq!(
-                        b.hidden_cycles, 0,
-                        "{}/{name}: nothing can be MLP-hidden at width 1",
-                        built.name
-                    );
-                }
-                rows.push(format!(
-                    "{},{name},{width},{},{},{},{},{},{},{}",
-                    built.name,
-                    r.stats.walks,
-                    b.ix_probe_cycles,
-                    b.compute_cycles,
-                    b.queue_cycles,
-                    b.stall_cycles,
-                    b.hidden_cycles,
-                    b.total()
-                ));
-            }
-        }
-    }
-    rows
-}
+mod golden;
 
 #[test]
 fn fig_breakdown_ci_output_is_pinned_and_shard_invariant() {
-    let rows = sweep_rows(1);
-    // Worker count must never move a cycle between components: the
-    // attribution happens inside each shard's engine and the totals
-    // merge by field-wise sum.
-    assert_eq!(
-        rows,
-        sweep_rows(4),
-        "fig_breakdown rows differ between shards=1 and shards=4"
-    );
-    check_golden(&(rows.join("\n") + "\n"));
+    golden::check(&[("fig_breakdown", "fig_breakdown_ci.csv")]);
 }

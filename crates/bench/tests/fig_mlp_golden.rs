@@ -1,106 +1,10 @@
-//! Golden-file regression gate for the MLP window sweep (`fig_mlp`).
-//!
-//! Pins the ci-scale modeled sweep — cycle count and speedup per MLP
-//! width, plus the semantic counters that must not move anywhere along
-//! the width axis — byte-for-byte against `tests/goldens/fig_mlp_ci.csv`
-//! at the repo root. The rows come from the same `fig_mlp_row` function
-//! the binary prints, so the pinned bytes cover the exact code path
-//! behind `results/fig_mlp.csv` (minus the `#` comment preamble and the
-//! measured-throughput stderr lines, which are wall-clock dependent).
-//!
-//! Regenerate after an intentional model change with:
-//!
-//! ```text
-//! METAL_UPDATE_GOLDENS=1 cargo test -p metal-bench --test fig_mlp_golden
-//! ```
+//! Golden-file regression gate for the MLP window sweep (`fig_mlp`):
+//! cycle count and speedup per MLP width, plus the semantic counters that
+//! must not move anywhere along the width axis (harness: `golden/mod.rs`).
 
-use metal_bench::{fig_mlp_header, fig_mlp_row, figure_designs, MLP_WIDTHS};
-use metal_core::native::supports_native;
-use metal_core::runner::{run_design, RunConfig, RunReport};
-use metal_workloads::crud::uniform_std_v1;
-use metal_workloads::{BuiltWorkload, Scale, Workload};
-use std::path::PathBuf;
-
-const CACHE_BYTES: usize = 64 * 1024;
-
-/// The binary's workload roster (`fig_mlp::workloads`), ci scale.
-fn workloads() -> Vec<BuiltWorkload> {
-    let scale = Scale::ci();
-    vec![Workload::Where.build(scale), uniform_std_v1(scale, 30)]
-}
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("tests/goldens/fig_mlp_ci.csv")
-}
-
-fn check_golden(produced: &str) {
-    let path = golden_path();
-    if std::env::var("METAL_UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, produced).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\n(run with METAL_UPDATE_GOLDENS=1 to create)",
-            path.display()
-        )
-    });
-    if produced != want {
-        let diff: Vec<String> = produced
-            .lines()
-            .zip(want.lines())
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| format!("  got:  {a}\n  want: {b}"))
-            .collect();
-        panic!(
-            "fig_mlp_ci.csv diverged from its golden ({} differing rows):\n{}\n\
-             If this change is intentional, regenerate with\n\
-             METAL_UPDATE_GOLDENS=1 cargo test -p metal-bench --test fig_mlp_golden",
-            diff.len(),
-            diff.join("\n")
-        );
-    }
-}
-
-/// The sweep's rows for one worker count, exactly as the binary prints
-/// them (simulator runs only — the CSV carries no measured numbers).
-fn sweep_rows(shards: usize) -> Vec<String> {
-    let mut rows = vec![fig_mlp_header()];
-    for built in workloads() {
-        let exp = built.experiment();
-        for (name, spec) in figure_designs(&built, CACHE_BYTES)
-            .into_iter()
-            .filter(|(_, s)| supports_native(s))
-        {
-            let mut serial: Option<RunReport> = None;
-            for width in MLP_WIDTHS {
-                let cfg = RunConfig::default()
-                    .with_lanes(built.tiles)
-                    .with_shards(shards)
-                    .with_mlp_width(width);
-                let r = run_design(&spec, &exp, &cfg);
-                let base = serial.get_or_insert_with(|| r.clone());
-                rows.push(fig_mlp_row(built.name, &name, width, base, &r));
-            }
-        }
-    }
-    rows
-}
+mod golden;
 
 #[test]
 fn fig_mlp_ci_output_is_pinned_and_shard_invariant() {
-    let rows = sweep_rows(1);
-    // Worker count must never change a row: the MLP window lives inside
-    // each worker's engine, and the modeled cycle merge is shard-order
-    // independent.
-    assert_eq!(
-        rows,
-        sweep_rows(4),
-        "fig_mlp rows differ between shards=1 and shards=4"
-    );
-    check_golden(&(rows.join("\n") + "\n"));
+    golden::check(&[("fig_mlp", "fig_mlp_ci.csv")]);
 }

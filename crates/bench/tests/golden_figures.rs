@@ -1,112 +1,22 @@
-//! Golden-file regression gate for the headline figures.
-//!
-//! Pins the ci-scale CSV output of `fig15_miss_rate` and `fig18_speedup`
-//! byte-for-byte against `tests/goldens/` at the repo root. Simulation
-//! is deterministic (fixed seed, order-independent sharding), so any
-//! diff here is a *behavioral* change to the model — latencies, cache
-//! policy, tuning, workload generation — and must be intentional.
-//!
-//! When a change is intentional, regenerate the goldens and commit them
-//! together with the change that caused the diff:
-//!
-//! ```text
-//! METAL_UPDATE_GOLDENS=1 cargo test -p metal-bench --test golden_figures
-//! ```
-//!
-//! The rows are produced by the same `fig15_row`/`fig18_row` functions
-//! the figure binaries print, so the pinned bytes cover the exact code
-//! path behind `results/fig15_miss_rate.csv` and
-//! `results/fig18_speedup.csv` (minus the `#` comment preamble, which
-//! carries no data).
+//! Golden-file regression gates for the miss-rate, speedup, write-sweep
+//! and native-backend figures (harness: `golden/mod.rs`).
 
-use metal_bench::{
-    fig15_header, fig15_row, fig18_header, fig18_row, run_built, run_workload, write_sweep_header,
-    write_sweep_rows,
-};
-use metal_core::runner::RunConfig;
-use metal_workloads::crud::uniform_std_v1;
-use metal_workloads::{Scale, Workload};
-use std::path::PathBuf;
-
-fn golden_path(name: &str) -> PathBuf {
-    // crates/bench -> repo root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("tests/goldens")
-        .join(name)
-}
-
-fn check_golden(name: &str, produced: &str) {
-    let path = golden_path(name);
-    if std::env::var("METAL_UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, produced).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\n(run with METAL_UPDATE_GOLDENS=1 to create)",
-            path.display()
-        )
-    });
-    if produced != want {
-        let diff: Vec<String> = produced
-            .lines()
-            .zip(want.lines())
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| format!("  got:  {a}\n  want: {b}"))
-            .collect();
-        panic!(
-            "{name} diverged from its golden ({} differing rows):\n{}\n\
-             If this change is intentional, regenerate with\n\
-             METAL_UPDATE_GOLDENS=1 cargo test -p metal-bench --test golden_figures",
-            diff.len(),
-            diff.join("\n")
-        );
-    }
-}
+mod golden;
 
 #[test]
 fn fig15_and_fig18_ci_output_is_pinned() {
-    // Both figures read the same workload x design sweep, so run it once.
-    let cache_bytes = 64 * 1024;
-    let mut fig15 = vec![fig15_header()];
-    let mut fig18 = vec![fig18_header()];
-    for w in Workload::all() {
-        let reports = run_workload(w, Scale::ci(), cache_bytes, RunConfig::default());
-        fig15.push(fig15_row(w.name(), &reports));
-        fig18.push(fig18_row(w.name(), &reports));
-    }
-    let render = |rows: Vec<String>| rows.join("\n") + "\n";
-    check_golden("fig15_ci.csv", &render(fig15));
-    check_golden("fig18_ci.csv", &render(fig18));
+    golden::check(&[
+        ("fig18_speedup", "fig18_ci.csv"),
+        ("fig15_miss_rate", "fig15_ci.csv"),
+    ]);
 }
 
 #[test]
 fn write_sweep_ci_output_is_pinned_and_shard_invariant() {
-    // The write-ratio sweep at 0%, 10% and 50% writes: the 0% rows pin
-    // the read-only baseline (byte-identical to a pure-read run by
-    // construction), the mutated rows pin split/merge/invalidate
-    // behavior end to end. Speedup is a deterministic cycle model, so
-    // these bytes are as stable as the fig15/fig18 goldens.
-    let cache_bytes = 64 * 1024;
-    let mut rows = vec![write_sweep_header()];
-    for ratio in [0u8, 10, 50] {
-        let built = uniform_std_v1(Scale::ci(), ratio);
-        let reports = run_built(&built, cache_bytes, RunConfig::default());
-        rows.extend(write_sweep_rows(ratio, &reports));
+    golden::check(&[("fig_write_sweep", "fig_write_sweep_ci.csv")]);
+}
 
-        // Worker count must never change results — especially on the
-        // mutated stream, where the write path and the IX-cache
-        // invalidation protocol both run inside the shards.
-        let built4 = uniform_std_v1(Scale::ci(), ratio);
-        let reports4 = run_built(&built4, cache_bytes, RunConfig::default().with_shards(4));
-        assert_eq!(
-            write_sweep_rows(ratio, &reports),
-            write_sweep_rows(ratio, &reports4),
-            "write ratio {ratio}: rows differ between shards=1 and shards=4"
-        );
-    }
-    check_golden("fig_write_sweep_ci.csv", &(rows.join("\n") + "\n"));
+#[test]
+fn fig_native_ci_output_is_pinned_and_shard_invariant() {
+    golden::check(&[("fig_native", "fig_native_ci.csv")]);
 }

@@ -1,9 +1,10 @@
 #!/bin/bash
-# Regenerates every figure/table CSV into results/.
+# Regenerates every figure/table CSV into results/ with the `fig` driver.
 # Usage: ./run_figures.sh [--dry-run] [--scale bench]
-#   --dry-run   verify each figure binary builds and print the exact
-#               command it would run, without writing anything to
-#               results/. ci.sh uses this to keep the script honest.
+#   --dry-run   build `fig` once, check that it knows every figure named
+#               here and print the command each would run, without
+#               writing anything to results/. ci.sh uses this to keep the
+#               script honest.
 set -u
 DRY=0
 PASS=()
@@ -14,36 +15,30 @@ for a in "$@"; do
   esac
 done
 ARGS="${PASS[@]:---scale bench}"
+cargo build --release -q -p metal-bench --bin fig || exit 1
+FIG=target/release/fig
 
-# run_fig BIN OUT.CSV ARGS... — one figure binary into results/OUT.CSV,
-# or (dry-run) a build check plus the command that would have run.
+# run_fig NAME ARGS... — one figure into results/NAME.csv, or (dry-run)
+# a check that `fig` knows NAME plus the command that would have run.
 run_fig() {
-  local b="$1" out="$2"
-  shift 2
-  echo "=== $b ==="
+  local name="$1"
+  shift
+  echo "=== $name ==="
   if [ "$DRY" -eq 1 ]; then
-    cargo build --release -q -p metal-bench --bin "$b" || exit 1
-    echo "would run: cargo run --release -p metal-bench --bin $b -- $* > results/$out"
+    "$FIG" "$name" --help > /dev/null || exit 1
+    echo "would run: $FIG $name $* > results/$name.csv"
   else
-    cargo run --release -p metal-bench --bin "$b" -- "$@" > "results/$out"
+    "$FIG" "$name" "$@" > "results/$name.csv" || exit 1
   fi
 }
 
 # Single-configuration figures at full length.
-BINS="table2_setup fig15_miss_rate fig16_working_set fig17_walk_latency fig18_speedup fig19_dram_energy fig20_breakdown fig21_occupancy fig22_adaptivity fig25_energy table3_summary"
-for b in $BINS; do
-  run_fig "$b" "$b.csv" $ARGS
+for f in table2_setup fig15_miss_rate fig16_working_set fig17_walk_latency fig18_speedup fig19_dram_energy fig20_breakdown fig21_occupancy fig22_adaptivity fig25_energy table3_summary fig_write_sweep fig_native fig_mlp; do
+  run_fig "$f" $ARGS
 done
 # Sweeps run many configurations; a shorter request stream per point keeps
 # the whole sweep tractable without changing the trends.
-SWEEP_ARGS="$ARGS --walks 15000"
-for b in fig23_scaling fig24_design_sweep abl_geometry abl_shared_private; do
-  run_fig "$b" "$b.csv" $SWEEP_ARGS
+for f in fig23_scaling fig23b_depth fig24_design_sweep abl_geometry abl_shared_private; do
+  run_fig "$f" $ARGS --walks 15000
 done
-run_fig fig23_scaling fig23b_depth.csv $SWEEP_ARGS --depth-sweep
-# The native-execution cross-validation figure (sim vs native rows).
-run_fig fig_native fig_native.csv $ARGS
-# The MLP window sweep (modeled speedup per width; measured native
-# walks/sec land on stderr).
-run_fig fig_mlp fig_mlp.csv $ARGS
 echo ALL_DONE
