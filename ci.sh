@@ -8,7 +8,9 @@
 # manifest; a truncated line must exit 2), a forensics gate (the `analyze` report must
 # pass its schema/conservation validation on a real fig15 trace), a
 # time-resolved telemetry gate (per-epoch window sums must conserve and
-# the series must be worker-count invariant), and a native-execution
+# the series must be worker-count invariant), a watchdog/flight-recorder
+# gate (the drift-hotspot alerts must trip --deny-alerts, its flight dump
+# must analyze, and a deeply nested trace line must exit 2), and a native-execution
 # gate (the measured-telemetry path must analyze clean, a corrupted
 # block file must die with a contextful error, and the native fuzz
 # swarm must stay clean both over its default width sweep and pinned to
@@ -280,6 +282,47 @@ if ./target/release/analyze --validate "$tdir/A_forged.json" 2> /dev/null; then
     exit 1
 fi
 echo "negative control: forged window counter fails validation with nonzero exit"
+# The fig15 series fires no watchdog, so the alert gate passes it too.
+./target/release/analyze --validate "$tdir/A_series.json" --deny-alerts
+echo "fig15 series: no watchdog alerts"
+
+echo "== watchdogs + flight recorder: drift-hotspot alerts, flight dump, hostile trace =="
+# The drifting hotspot trips the watchdogs: its analysis must validate,
+# fail the alert gate with exit 1, and its flight dump (rings that
+# dropped earlier events) must be summarized, not rejected.
+$FIG fig_drift_hotspot --scale ci --epoch walks:512 \
+    --analyze-out "$tdir/A_drift.json" --flight-out "$tdir/flight.jsonl" \
+    > /dev/null 2> /dev/null
+./target/release/analyze --validate "$tdir/A_drift.json"
+set +e
+./target/release/analyze --validate "$tdir/A_drift.json" --deny-alerts 2> "$tdir/deny.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 1 ]; then
+    echo "FAIL: --deny-alerts should exit 1 on the drift-hotspot alerts, got $rc" >&2
+    exit 1
+fi
+grep -q "watchdog alert(s) present" "$tdir/deny.txt"
+echo "drift-hotspot alerts fail --deny-alerts with exit 1"
+./target/release/analyze "$tdir/flight.jsonl" > "$tdir/flight.txt"
+grep -q "flight dump dropped [1-9][0-9]* earlier events" "$tdir/flight.txt"
+echo "flight dump analyzed; the dropped events are reported"
+# Negative control: one line of 200 000 open brackets must be a
+# malformed line (exit 2 naming file and line), not a stack overflow.
+head -c 200000 /dev/zero | tr '\0' '[' > "$tdir/nested.jsonl"
+echo >> "$tdir/nested.jsonl"
+set +e
+./target/release/analyze "$tdir/nested.jsonl" --out "$tdir/nested.A.json" \
+    > /dev/null 2> "$tdir/nested.txt"
+rc=$?
+set -e
+if [ "$rc" -ne 2 ]; then
+    echo "FAIL: a deeply nested trace line should exit 2 (usage/IO), got $rc" >&2
+    cat "$tdir/nested.txt" >&2
+    exit 1
+fi
+grep -q "nested.jsonl: line 1: bad JSON" "$tdir/nested.txt"
+echo "negative control: deeply nested trace line fails with exit 2 naming file and line"
 
 echo "== native execution: measured telemetry + out-of-core gate =="
 # fig_native checks every sim/native row pair in-process (exit 1 on a

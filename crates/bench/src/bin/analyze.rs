@@ -4,8 +4,9 @@
 //! [`metal_obs::replay`] parses each line back into its typed event,
 //! splits the trace into its (run, design, shard) streams — order
 //! matters *within* a stream (reuse distances, regret windows), never
-//! across — and feeds each to the same [`metal_obs::StreamAnalyzer`] and
-//! [`metal_obs::MetricsSnapshot`] reducers the in-process sinks use.
+//! across — and feeds each to the same [`metal_obs::StreamAnalyzer`] the
+//! in-process sinks use, whose counts are the one
+//! [`metal_obs::EventCounts`] reducer behind the manifest's metrics too.
 //! `analyze` then prints event counts by kind, the ten hottest IX-cache
 //! sets, the short-circuit depths of non-scan hits, the admission /
 //! bypass / eviction reason counters, the tuner timeline and, when the
@@ -23,9 +24,17 @@
 //! counts rebuilt from the trace against the manifest's `hit_levels` —
 //! two independent paths through the simulator that must agree exactly
 //! — and, when the manifest carries `--metrics-out` event metrics, the
-//! reason counters too. It reports before anything is written, and a
-//! mismatch exits 1. It is a flag because a trace may mix runs under one
+//! whole `metrics` object against the trace's counts rendered by the
+//! same function. It reports before anything is written, and a mismatch
+//! exits 1. It is a flag because a trace may mix runs under one
 //! (workload, design) label (`fig_native`'s sim and native runs).
+//!
+//! A flight-recorder dump (`--flight-out`) whose rings dropped events
+//! holds only the tail of each stream, which cannot satisfy the
+//! conservation identities: `analyze` prints the summary sections and
+//! the dropped count, states that conservation is not checked, writes
+//! nothing and exits 0. `--out`, `--html`, `--check-hits` and
+//! `--deny-alerts` need a complete trace and exit 2 on such a dump.
 //!
 //! With `--epoch SPEC` (`cycles:N` / `walks:M`) every stream is also
 //! sliced into deterministic telemetry windows: `analyze` prints a
@@ -54,12 +63,12 @@ use metal_bench::{exit, fail};
 use metal_obs::breakdown::COMPONENTS;
 use metal_obs::watchdog::{analysis_document, scan_analysis, WatchdogConfig};
 use metal_obs::{
-    render_html_with_measured, replay, validate_analysis, validate_analysis_gated, Json,
-    JsonlReader, MeasuredRow, MetricsSnapshot, Replay, TraceAnalysis,
+    render_html_with_measured, replay, validate_analysis, validate_analysis_gated, EventCounts,
+    Json, JsonlReader, MeasuredRow, Replay, TraceAnalysis,
 };
 use metal_sim::epoch::EpochSpec;
 use metal_sim::obs::WIDE_SET;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -87,8 +96,12 @@ fn help() -> ExitCode {
          fully-associative reference from the run's recorded cache_bytes.\n\
          \n\
          --check-hits cross-checks the trace's per-level hit counts and\n\
-         reason counters against the --manifest run manifest and exits 1 on\n\
+         event metrics against the --manifest run manifest and exits 1 on\n\
          a mismatch, before writing anything.\n\
+         \n\
+         A --flight-out dump whose rings dropped events is summarized only:\n\
+         conservation is not checked and nothing is written (--out, --html,\n\
+         --check-hits and --deny-alerts exit 2 on it).\n\
          \n\
          --epoch slices each stream into deterministic telemetry windows:\n\
          it prints a per-epoch table per design, the document gains a\n\
@@ -193,7 +206,7 @@ fn measured_rows(manifest: &Json) -> Vec<MeasuredRow> {
 /// The summary sections over every stream (`total`): counts by kind,
 /// hottest sets, short-circuit depths, reason counters and the tuner
 /// timeline.
-fn print_summary(rep: &Replay, total: &MetricsSnapshot) {
+fn print_summary(rep: &Replay, total: &EventCounts) {
     println!();
     println!("## events by kind");
     for (kind, n) in &total.events_by_kind {
@@ -313,23 +326,19 @@ fn print_epochs(analysis: &TraceAnalysis) {
             };
             // Shares of the window's attributed cycles — the same
             // columns the series JSON and breakdown section conserve.
-            let cycles = w.ix_probe_cycles
-                + w.compute_cycles
-                + w.queue_cycles
-                + w.stall_cycles
-                + w.hidden_cycles;
+            let share = |comp: &str| pct(w.cycles_of(comp), w.cycles_total());
             println!(
                 "{epoch:>8} {:>9} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
-                w.walks,
-                w.probes,
-                pct(w.hits_total(), w.probes),
-                w.misses,
-                w.fills,
+                w.walks(),
+                w.probes(),
+                pct(w.hits_total(), w.probes()),
+                w.misses(),
+                w.kind("fill"),
                 w.evictions_total(),
                 w.regretted,
-                pct(w.stall_cycles, cycles),
-                pct(w.compute_cycles, cycles),
-                pct(w.queue_cycles, cycles),
+                share("stall"),
+                share("compute"),
+                share("queue"),
             );
         }
     }
@@ -384,38 +393,48 @@ fn check_hits(rep: &Replay, manifest: &Json) -> u64 {
     mismatches
 }
 
-/// Cross-checks the trace's admission/bypass/eviction reason counters
-/// (`total`) against the manifest's aggregated event metrics. Returns
-/// the number of mismatches; skips (returning 0) when the manifest has
-/// no metrics.
-fn check_reasons(total: &MetricsSnapshot, manifest: &Json) -> u64 {
+/// A `metrics` object flattened to `key/sub` (or bare `key`) → rendered
+/// value.
+fn flat_metrics(metrics: &Json) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    let Json::Obj(fields) = metrics else {
+        return out;
+    };
+    for (key, v) in fields {
+        match v {
+            Json::Obj(subs) => out.extend(
+                subs.iter()
+                    .map(|(sub, n)| (format!("{key}/{sub}"), n.render())),
+            ),
+            n => {
+                out.insert(key.clone(), n.render());
+            }
+        }
+    }
+    out
+}
+
+/// Cross-checks the trace's event counts (`total`), rendered by the
+/// function that writes the manifest's `metrics` object, against that
+/// object, key by key (an absent count is 0). Returns the number of
+/// mismatches; skips (returning 0) when the manifest has no metrics.
+fn check_metrics(total: &EventCounts, manifest: &Json) -> u64 {
     let Some(metrics) = manifest.get("metrics") else {
         println!("check-reasons: manifest has no metrics block (run with --metrics-out); skipped");
         return 0;
     };
+    let (want, traced) = (flat_metrics(metrics), flat_metrics(&total.to_json()));
+    let keys: BTreeSet<&String> = want.keys().chain(traced.keys()).collect();
+    let zero = "0".to_string();
     let mut mismatches = 0;
-    for (key, traced) in [
-        ("inserts_by_reason", &total.inserts_by_reason),
-        ("bypasses_by_reason", &total.bypasses_by_reason),
-        ("evictions_by_reason", &total.evictions_by_reason),
-    ] {
-        let want: BTreeMap<&str, u64> = match metrics.get(key) {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .filter_map(|(k, v)| Some((k.as_str(), v.as_u64()?)))
-                .collect(),
-            _ => BTreeMap::new(),
-        };
-        let mut reasons: Vec<&str> = want.keys().chain(traced.keys()).copied().collect();
-        reasons.sort();
-        reasons.dedup();
-        for reason in reasons {
-            let w = want.get(reason).copied().unwrap_or(0);
-            let t = traced.get(reason).copied().unwrap_or(0);
-            if w != t {
-                mismatches += 1;
-                println!("MISMATCH {key}/{reason}: manifest {w}, trace {t}");
-            }
+    for key in keys {
+        let (w, t) = (
+            want.get(key).unwrap_or(&zero),
+            traced.get(key).unwrap_or(&zero),
+        );
+        if w != t {
+            mismatches += 1;
+            println!("MISMATCH {key}: manifest {w}, trace {t}");
         }
     }
     if mismatches == 0 {
@@ -530,6 +549,16 @@ fn main() -> ExitCode {
             trace_path.display()
         ));
     }
+    let partial = rep.dropped > 0;
+    if partial && (out_path.is_some() || html_path.is_some() || check || deny_alerts) {
+        fail(format_args!(
+            "{}: a flight dump whose rings dropped {} earlier events holds only \
+             stream suffixes; --out, --html, --check-hits and --deny-alerts need \
+             a complete trace",
+            trace_path.display(),
+            rep.dropped
+        ));
+    }
     let analysis = &rep.analysis;
     println!(
         "analyze: {} events in {} streams across {} designs",
@@ -537,19 +566,29 @@ fn main() -> ExitCode {
         rep.metrics.len(),
         analysis.designs.len()
     );
-    let mut total = MetricsSnapshot::default();
+    let mut total = EventCounts::default();
     for m in rep.metrics.values() {
         total.merge(m);
     }
     print_summary(&rep, &total);
     print_breakdown(analysis);
     print_epochs(analysis);
+    if partial {
+        println!();
+        println!(
+            "analyze: flight dump dropped {} earlier events; a stream suffix cannot \
+             satisfy the conservation identities, so conservation is not checked \
+             and no ANALYSIS.json or HTML report is written",
+            rep.dropped
+        );
+        return ExitCode::SUCCESS;
+    }
     if check {
         let manifest = manifest
             .as_ref()
             .expect("usage() rejects --check-hits alone");
         println!();
-        if check_hits(&rep, manifest) + check_reasons(&total, manifest) > 0 {
+        if check_hits(&rep, manifest) + check_metrics(&total, manifest) > 0 {
             return ExitCode::from(exit::VALIDATION as u8);
         }
     }

@@ -79,16 +79,16 @@ fn check_workload(built: &BuiltWorkload) {
             "{design}: epoch walks:128 must slice the run into several windows, got {}",
             series.windows.len()
         );
-        let walks: u64 = series.windows.values().map(|w| w.walks).sum();
-        let probes: u64 = series.windows.values().map(|w| w.probes).sum();
+        let walks: u64 = series.windows.values().map(|w| w.walks()).sum();
+        let probes: u64 = series.windows.values().map(|w| w.probes()).sum();
         assert_eq!(
             walks,
-            d.events_by_kind.get("walk_end").copied().unwrap_or(0),
+            d.counts.walks(),
             "{design}: window walk sum != whole-run walks"
         );
         assert_eq!(
             probes,
-            d.events_by_kind.get("ix_probe").copied().unwrap_or(0),
+            d.counts.probes(),
             "{design}: window probe sum != whole-run probes"
         );
 
@@ -100,13 +100,12 @@ fn check_workload(built: &BuiltWorkload) {
             .breakdown
             .as_ref()
             .unwrap_or_else(|| panic!("{design}: traced sim run must attribute cycles"));
-        let windowed: [u64; 5] = [
-            series.windows.values().map(|w| w.ix_probe_cycles).sum(),
-            series.windows.values().map(|w| w.compute_cycles).sum(),
-            series.windows.values().map(|w| w.queue_cycles).sum(),
-            series.windows.values().map(|w| w.stall_cycles).sum(),
-            series.windows.values().map(|w| w.hidden_cycles).sum(),
-        ];
+        let mut windowed = [0u64; 5];
+        for w in series.windows.values() {
+            for (sum, part) in windowed.iter_mut().zip(w.cycles) {
+                *sum += part;
+            }
+        }
         assert_eq!(
             windowed, b.cycles,
             "{design}: windowed cycle columns != breakdown totals"

@@ -389,32 +389,44 @@ pub fn run_design(spec: &DesignSpec, exp: &Experiment<'_>, cfg: &RunConfig) -> R
         return run_design_shard(spec, exp, cfg, 0, &[]);
     }
 
-    let workers = cfg.worker_threads().min(bounds.len()).max(1);
-    let slots: Vec<Mutex<Option<RunReport>>> = bounds.iter().map(|_| Mutex::new(None)).collect();
+    let reports = worker_pool(&bounds, cfg.worker_threads(), |i, range| {
+        // Writes earlier in the stream must be visible to this chunk's
+        // walks even though its caches start cold.
+        let prefix = &exp.requests[..range.start];
+        run_design_shard(spec, &exp.slice(range.clone()), cfg, i as u64, prefix)
+    });
+    merge_reports(reports)
+}
+
+/// Runs `job(i, &items[i])` for every item on up to `workers` scoped
+/// threads pulling indices from one shared cursor, and returns the
+/// results in item order — so the output never depends on which worker
+/// ran which item.
+fn worker_pool<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    job: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..workers {
+        for _ in 0..workers.min(items.len()).max(1) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(range) = bounds.get(i) else { break };
-                let shard_exp = exp.slice(range.clone());
-                // Writes earlier in the stream must be visible to this
-                // chunk's walks even though its caches start cold.
-                let prefix = &exp.requests[..range.start];
-                let report = run_design_shard(spec, &shard_exp, cfg, i as u64, prefix);
-                *slots[i].lock().expect("shard slot poisoned") = Some(report);
+                let Some(item) = items.get(i) else { break };
+                let result = job(i, item);
+                *slots[i].lock().expect("worker slot poisoned") = Some(result);
             });
         }
     });
-    let reports: Vec<RunReport> = slots
+    slots
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .expect("shard slot poisoned")
-                .expect("every shard produced a report")
+                .expect("worker slot poisoned")
+                .expect("every item produced a result")
         })
-        .collect();
-    merge_reports(reports)
+        .collect()
 }
 
 /// The standard comparison set the paper's figures iterate over.
@@ -487,39 +499,17 @@ pub fn run_designs_parallel(
     exp: &Experiment<'_>,
     cfg: &RunConfig,
 ) -> Vec<RunReport> {
-    if designs.is_empty() {
-        return Vec::new();
-    }
     let workers = cfg.worker_threads().min(designs.len()).max(1);
     if workers == 1 {
         return designs.iter().map(|d| run_design(d, exp, cfg)).collect();
     }
-    let slots: Vec<Mutex<Option<RunReport>>> = designs.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = designs.get(i) else { break };
-                // Each design may shard its own request stream in turn;
-                // run serially within this worker to bound thread count.
-                let inner = RunConfig {
-                    shards: 1,
-                    ..cfg.clone()
-                };
-                let report = run_design(spec, exp, &inner);
-                *slots[i].lock().expect("design slot poisoned") = Some(report);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("design slot poisoned")
-                .expect("every design produced a report")
-        })
-        .collect()
+    // Each design may shard its own request stream in turn; run it
+    // serially within its worker to bound the thread count.
+    let inner = RunConfig {
+        shards: 1,
+        ..cfg.clone()
+    };
+    worker_pool(designs, workers, |_, spec| run_design(spec, exp, &inner))
 }
 
 #[cfg(test)]

@@ -13,6 +13,13 @@
 //! report of a trace agrees bit-for-bit with the in-process one of the
 //! run that produced it.
 //!
+//! The analyzer's order-free counts (events per kind, probes and
+//! occupancy per set, the tuner decisions, the epoch windows) are the
+//! one [`EventCounts`] reducer the metrics registry folds too; on top
+//! of it the analyzer keeps what needs stream order: the entry ledger,
+//! the regret meter, the reuse profiler, the miss taxonomy and the
+//! cycle-accounting rollup.
+//!
 //! Order matters *within* a stream (reuse distance, the regret windows)
 //! but never *across* streams: [`DesignAnalysis::merge`] is a plain sum,
 //! so the merged result is independent of shard arrival order and of
@@ -23,7 +30,7 @@ use crate::breakdown::{BreakdownAgg, BreakdownState, BREAKDOWN_SCHEMA, COMPONENT
 use crate::json::Json;
 use crate::jsonl::JsonlReader;
 use crate::ledger::{EntryLedger, LedgerSummary, RegretDelta, RegretMeter, RegretSummary};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{count_obj, EventCounts};
 use crate::reuse::{LogHist, MissTaxonomy, ReuseProfiler, TaxonomyCounts};
 use crate::timeseries::TimeSeries;
 use metal_sim::epoch::{EpochClock, EpochSpec};
@@ -40,28 +47,12 @@ pub const ANALYSIS_SCHEMA: &str = "metal-analysis-v1";
 /// Schema tag stamped into standalone `--series-out` documents.
 pub const SERIES_SCHEMA: &str = "metal-series-v1";
 
-/// One tuner decision in the forensic timeline.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TunerRec {
-    /// Simulated cycle of the decision.
-    pub at: u64,
-    /// Index whose descriptor moved.
-    pub index: u8,
-    /// Completed-batch number.
-    pub batch: u64,
-    /// Parameter tag.
-    pub param: String,
-    /// Old value.
-    pub from: u64,
-    /// New value.
-    pub to: u64,
-}
-
 /// Per-design forensic aggregate (merged over shards and runs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DesignAnalysis {
-    /// Events per kind tag.
-    pub events_by_kind: BTreeMap<String, u64>,
+    /// Whole-run event counts: events per kind, probes and occupancy
+    /// per set, the tuner decisions (sorted in [`Self::to_json`]).
+    pub counts: EventCounts,
     /// Entry-ledger reduction.
     pub ledger: LedgerSummary,
     /// Eviction-regret reduction.
@@ -72,12 +63,6 @@ pub struct DesignAnalysis {
     pub reuse_hist: LogHist,
     /// Compulsory / capacity / conflict split of the block stream.
     pub taxonomy: TaxonomyCounts,
-    /// IX-cache probes per (index, set).
-    pub probes_by_set: BTreeMap<(u8, u32), u64>,
-    /// Net fills minus evictions per (index, set).
-    pub occupancy_by_set: BTreeMap<(u8, u32), i64>,
-    /// Tuner decisions (sorted canonically in [`Self::to_json`]).
-    pub tuner_decisions: Vec<TunerRec>,
     /// Cycle-accounting rollup over `walk_breakdown` events; `None`
     /// when the stream carried none (native traces, legacy traces —
     /// the byte-stable legacy rendering).
@@ -90,22 +75,12 @@ pub struct DesignAnalysis {
 impl DesignAnalysis {
     /// Folds `other` into `self`; commutative and associative.
     pub fn merge(&mut self, other: &DesignAnalysis) {
-        for (k, n) in &other.events_by_kind {
-            *self.events_by_kind.entry(k.clone()).or_insert(0) += n;
-        }
+        self.counts.merge(&other.counts);
         self.ledger.merge(&other.ledger);
         self.regret.merge(&other.regret);
         self.reuse_cold += other.reuse_cold;
         self.reuse_hist.merge(&other.reuse_hist);
         self.taxonomy.merge(&other.taxonomy);
-        for (k, n) in &other.probes_by_set {
-            *self.probes_by_set.entry(*k).or_insert(0) += n;
-        }
-        for (k, n) in &other.occupancy_by_set {
-            *self.occupancy_by_set.entry(*k).or_insert(0) += n;
-        }
-        self.tuner_decisions
-            .extend(other.tuner_decisions.iter().cloned());
         match (&mut self.breakdown, &other.breakdown) {
             (Some(mine), Some(theirs)) => mine.merge(theirs),
             (None, Some(theirs)) => self.breakdown = Some(theirs.clone()),
@@ -122,12 +97,6 @@ impl DesignAnalysis {
     /// tuner timeline is sorted, so equal aggregates render equal bytes
     /// regardless of merge order.
     pub fn to_json(&self) -> Json {
-        let kinds = Json::Obj(
-            self.events_by_kind
-                .iter()
-                .map(|(k, n)| (k.clone(), Json::UInt(*n)))
-                .collect(),
-        );
         let by_reason = {
             let mut reasons: Vec<&String> = self.ledger.entries_by_admit_reason.keys().collect();
             for r in self.ledger.hits_by_admit_reason.keys() {
@@ -200,68 +169,53 @@ impl DesignAnalysis {
             ("cold".into(), Json::UInt(self.reuse_cold)),
             ("log2".into(), self.reuse_hist.to_json()),
         ]);
-        let set_map_u = |m: &BTreeMap<(u8, u32), u64>| {
-            Json::Arr(
-                m.iter()
-                    .map(|(&(i, s), &n)| {
-                        Json::Arr(vec![
-                            Json::UInt(i as u64),
-                            Json::UInt(s as u64),
-                            Json::UInt(n),
-                        ])
-                    })
-                    .collect(),
-            )
+        let set_rows = |rows: Vec<((u8, u32), u64)>| {
+            let row = |((i, s), n): ((u8, u32), u64)| {
+                Json::Arr(vec![
+                    Json::UInt(i as u64),
+                    Json::UInt(s as u64),
+                    Json::UInt(n),
+                ])
+            };
+            Json::Arr(rows.into_iter().map(row).collect())
         };
-        let occupancy = Json::Arr(
-            self.occupancy_by_set
-                .iter()
-                .map(|(&(i, s), &n)| {
-                    Json::Arr(vec![
-                        Json::UInt(i as u64),
-                        Json::UInt(s as u64),
-                        // Occupancy is a net count and cannot go negative
-                        // over a complete stream; clamp defensively for
-                        // truncated offline traces.
-                        Json::UInt(n.max(0) as u64),
-                    ])
-                })
-                .collect(),
-        );
-        let mut decisions = self.tuner_decisions.clone();
-        decisions.sort();
-        let tuner = Json::Arr(
-            decisions
-                .into_iter()
-                .map(|d| {
-                    Json::Obj(vec![
-                        ("at".into(), Json::UInt(d.at)),
-                        ("index".into(), Json::UInt(d.index as u64)),
-                        ("batch".into(), Json::UInt(d.batch)),
-                        ("param".into(), Json::str(&d.param)),
-                        ("from".into(), Json::UInt(d.from)),
-                        ("to".into(), Json::UInt(d.to)),
-                    ])
-                })
-                .collect(),
-        );
+        let c = &self.counts;
+        let probes = set_rows(c.probes_by_set.iter().map(|(&k, &n)| (k, n)).collect());
+        // Occupancy is a net count and cannot go negative over a
+        // complete stream; clamp defensively for truncated traces.
+        let occupancy = c
+            .occupancy_by_set
+            .iter()
+            .map(|(&k, &n)| (k, n.max(0) as u64));
+        let mut decisions = c.tuner_decisions.clone();
+        decisions.sort_unstable();
+        let tuner = decisions.into_iter().map(|d| {
+            Json::obj([
+                ("at", Json::UInt(d.at)),
+                ("index", Json::UInt(d.index as u64)),
+                ("batch", Json::UInt(d.batch)),
+                ("param", Json::str(d.param)),
+                ("from", Json::UInt(d.from)),
+                ("to", Json::UInt(d.to)),
+            ])
+        });
         let mut fields = vec![
-            ("events_by_kind".to_string(), kinds),
-            ("ledger".to_string(), ledger),
-            ("reuse_distance".to_string(), reuse),
-            ("taxonomy".to_string(), self.taxonomy.to_json()),
-            ("regret".to_string(), regret),
-            ("probes_by_set".to_string(), set_map_u(&self.probes_by_set)),
-            ("occupancy_by_set".to_string(), occupancy),
-            ("tuner_decisions".to_string(), tuner),
+            ("events_by_kind", count_obj(&c.events_by_kind)),
+            ("ledger", ledger),
+            ("reuse_distance", reuse),
+            ("taxonomy", self.taxonomy.to_json()),
+            ("regret", regret),
+            ("probes_by_set", probes),
+            ("occupancy_by_set", set_rows(occupancy.collect())),
+            ("tuner_decisions", Json::Arr(tuner.collect())),
         ];
         if let Some(breakdown) = &self.breakdown {
-            fields.push(("breakdown".to_string(), breakdown.to_json()));
+            fields.push(("breakdown", breakdown.to_json()));
         }
         if let Some(series) = &self.series {
-            fields.push(("series".to_string(), series.to_json()));
+            fields.push(("series", series.to_json()));
         }
-        Json::Obj(fields)
+        Json::obj(fields)
     }
 }
 
@@ -281,10 +235,7 @@ pub struct StreamAnalyzer {
     regret: RegretMeter,
     reuse: ReuseProfiler,
     taxonomy: MissTaxonomy,
-    events_by_kind: BTreeMap<String, u64>,
-    probes_by_set: BTreeMap<(u8, u32), u64>,
-    occupancy_by_set: BTreeMap<(u8, u32), i64>,
-    tuner_decisions: Vec<TunerRec>,
+    counts: EventCounts,
     breakdown: BreakdownState,
     series: Option<SeriesState>,
 }
@@ -299,10 +250,7 @@ impl StreamAnalyzer {
             regret: RegretMeter::new(),
             reuse: ReuseProfiler::new(),
             taxonomy: MissTaxonomy::new(budget_blocks),
-            events_by_kind: BTreeMap::new(),
-            probes_by_set: BTreeMap::new(),
-            occupancy_by_set: BTreeMap::new(),
-            tuner_decisions: Vec::new(),
+            counts: EventCounts::default(),
             breakdown: BreakdownState::default(),
             series: None,
         }
@@ -325,12 +273,14 @@ impl StreamAnalyzer {
         self.series.as_ref().map(|s| s.last_epoch)
     }
 
+    /// The stream's whole-run counts so far.
+    pub fn counts(&self) -> &EventCounts {
+        &self.counts
+    }
+
     /// Feeds one event.
     pub fn observe_event(&mut self, at: u64, ev: &Event) {
-        *self
-            .events_by_kind
-            .entry(ev.kind().to_string())
-            .or_insert(0) += 1;
+        self.counts.observe(at, ev);
         let mut delta = RegretDelta::default();
         match *ev {
             Event::IxProbe {
@@ -338,49 +288,33 @@ impl StreamAnalyzer {
                 key,
                 hit,
                 short_circuit,
-                set,
                 entry,
                 ..
             } => {
-                *self.probes_by_set.entry((index, set)).or_insert(0) += 1;
                 if hit && entry != 0 {
                     self.ledger.probe_hit(entry, short_circuit as u64);
                 }
                 delta = self.regret.probe(index, key, hit, entry);
             }
             Event::Insert { reason, .. } => self.ledger.insert(reason.as_str()),
-            Event::Fill {
-                index,
-                set,
-                entry,
-                pack,
-                ..
-            } => {
-                *self.occupancy_by_set.entry((index, set)).or_insert(0) += 1;
-                self.ledger.fill(at, entry, pack.as_str());
-            }
+            Event::Fill { entry, pack, .. } => self.ledger.fill(at, entry, pack.as_str()),
             Event::Coalesce { entry, .. } => self.ledger.coalesce(entry),
             Event::Evict {
                 index,
-                set,
                 entry,
                 lo,
                 hi,
                 for_entry,
                 ..
             } => {
-                *self.occupancy_by_set.entry((index, set)).or_insert(0) -= 1;
                 self.ledger.evict(at, entry);
                 self.regret.evict(index, lo, hi, entry, for_entry);
             }
             Event::Invalidate {
-                index,
-                set,
                 entry,
                 killed: true,
                 ..
             } => {
-                *self.occupancy_by_set.entry((index, set)).or_insert(0) -= 1;
                 self.ledger.invalidate(at, entry);
                 self.regret.invalidate(entry);
             }
@@ -389,20 +323,6 @@ impl StreamAnalyzer {
                 self.reuse.observe(block);
                 self.taxonomy.observe(block);
             }
-            Event::TunerDecision {
-                index,
-                batch,
-                param,
-                from,
-                to,
-            } => self.tuner_decisions.push(TunerRec {
-                at,
-                index,
-                batch,
-                param: param.as_str().to_string(),
-                from,
-                to,
-            }),
             Event::WalkBreakdown {
                 lane,
                 ix_probe,
@@ -419,19 +339,20 @@ impl StreamAnalyzer {
                 latency,
             ),
             // A partial invalidation shrinks its entry in place: no
-            // retirement, no occupancy change.
+            // retirement.
             Event::Invalidate { killed: false, .. }
             | Event::WalkStart { .. }
             | Event::WalkEnd { .. }
             | Event::Bypass { .. }
-            | Event::Split { .. } => {}
+            | Event::Split { .. }
+            | Event::TunerDecision { .. } => {}
         }
         // The event's window gets it plus the regret verdicts its probe
         // produced (unwindowed streams skip this).
         if let Some(s) = &mut self.series {
             s.last_epoch = s.clock.observe(at, matches!(ev, Event::WalkEnd { .. }));
             let w = s.series.window_mut(s.last_epoch);
-            w.observe_event(ev);
+            w.observe(at, ev);
             w.regretted += delta.regretted;
             w.vindicated += delta.vindicated;
         }
@@ -445,15 +366,12 @@ impl StreamAnalyzer {
             Some(self.breakdown.finish())
         };
         DesignAnalysis {
-            events_by_kind: self.events_by_kind,
+            counts: self.counts,
             ledger: self.ledger.finish(),
             regret: self.regret.finish(),
             reuse_cold: self.reuse.cold(),
             reuse_hist: self.reuse.hist().clone(),
             taxonomy: self.taxonomy.counts().clone(),
-            probes_by_set: self.probes_by_set,
-            occupancy_by_set: self.occupancy_by_set,
-            tuner_decisions: self.tuner_decisions,
             breakdown,
             series: self.series.map(|s| s.series),
         }
@@ -520,40 +438,42 @@ pub type StreamKey = (String, String, u64);
 pub struct Replay {
     /// Events replayed (flight-recorder meta lines are not events).
     pub events: u64,
+    /// Events a flight-recorder dump's rings dropped before the ones it
+    /// kept (0 for a complete trace). A dump that dropped events holds
+    /// only a suffix of each stream, which cannot satisfy the
+    /// conservation identities [`validate_analysis`] checks.
+    pub dropped: u64,
     /// The per-design forensic aggregate.
     pub analysis: TraceAnalysis,
-    /// The counting metrics of each stream.
-    pub metrics: BTreeMap<StreamKey, MetricsSnapshot>,
+    /// The event counts of each stream.
+    pub metrics: BTreeMap<StreamKey, EventCounts>,
 }
 
 /// Replays a JSONL trace: splits it into its (run, design, shard)
 /// streams (order matters within a stream, never across), feeds each
-/// event to the same [`StreamAnalyzer::observe_event`] and
-/// [`MetricsSnapshot::observe`] the in-process sinks call, and merges
-/// the analyzers by design. `budget_blocks` and `epoch` configure every
-/// analyzer as [`AnalysisRegistry::windowed`] does. A malformed line is
-/// an error naming its line number.
+/// event to the same [`StreamAnalyzer::observe_event`] the in-process
+/// sinks call, keeps each stream's counts and merges the analyzers by
+/// design. `budget_blocks` and `epoch` configure every analyzer as
+/// [`AnalysisRegistry::windowed`] does. A malformed line is an error
+/// naming its line number.
 pub fn replay<R: Read>(
     mut reader: JsonlReader<R>,
     budget_blocks: usize,
     epoch: Option<EpochSpec>,
 ) -> Result<Replay, String> {
-    let mut streams: BTreeMap<StreamKey, (StreamAnalyzer, MetricsSnapshot)> = BTreeMap::new();
+    let mut streams: BTreeMap<StreamKey, StreamAnalyzer> = BTreeMap::new();
     let mut out = Replay::default();
     while let Some(line) = reader.next_event()? {
-        let (analyzer, metrics) = streams
+        streams
             .entry((line.run, line.design, line.shard))
-            .or_insert_with(|| {
-                let analyzer = StreamAnalyzer::new(budget_blocks).with_epoch(epoch);
-                (analyzer, MetricsSnapshot::default())
-            });
-        analyzer.observe_event(line.at, &line.ev);
-        metrics.observe(line.at, &line.ev);
+            .or_insert_with(|| StreamAnalyzer::new(budget_blocks).with_epoch(epoch))
+            .observe_event(line.at, &line.ev);
         out.events += 1;
     }
-    for (key, (analyzer, metrics)) in streams {
+    out.dropped = reader.flight_dropped();
+    for (key, analyzer) in streams {
+        out.metrics.insert(key.clone(), analyzer.counts().clone());
         out.analysis.fold(&key.1, analyzer.finish());
-        out.metrics.insert(key, metrics);
     }
     Ok(out)
 }
@@ -1191,10 +1111,31 @@ mod tests {
         drop(sink);
         let dump = rec.dump_jsonl();
         let rep = replay(JsonlReader::from_reader(dump.as_bytes()), 16, None).unwrap();
-        assert_eq!(rep.events, sample_events().len() as u64);
+        assert_eq!((rep.events, rep.dropped), (sample_events().len() as u64, 0));
         let streams: Vec<&StreamKey> = rep.metrics.keys().collect();
         assert_eq!(streams, [&("?".to_string(), "metal".to_string(), 0)]);
         assert_eq!(rep.analysis, reg.snapshot());
+    }
+
+    #[test]
+    fn overflowed_flight_dump_reports_what_it_dropped() {
+        // A ring smaller than the stream keeps only its tail; the replay
+        // must say how much it lost, because the tail alone cannot
+        // satisfy the conservation identities.
+        let rec = FlightRecorder::new(3);
+        let mut flight = rec.sink("metal", 0);
+        for (at, ev) in sample_events() {
+            flight.emit(at, &ev);
+        }
+        let dump = rec.dump_jsonl();
+        let rep = replay(JsonlReader::from_reader(dump.as_bytes()), 16, None).unwrap();
+        let total = sample_events().len() as u64;
+        assert_eq!((rep.events, rep.dropped), (3, total - 3));
+        // The kept tail starts mid-lane: one walk's latency cannot
+        // reach the lane's horizon.
+        let err =
+            validate_analysis(&rep.analysis.to_json()).expect_err("a suffix is not conserved");
+        assert!(err.contains("reconcile with exec horizon"), "{err}");
     }
 
     #[test]
@@ -1219,8 +1160,8 @@ mod tests {
             d.regret.unresolved, 1,
             "window on entry 2 closed by its invalidation"
         );
-        assert_eq!(d.events_by_kind["split"], 1);
-        assert_eq!(d.events_by_kind["invalidate"], 1);
+        assert_eq!(d.counts.kind("split"), 1);
+        assert_eq!(d.counts.kind("invalidate"), 1);
         let breakdown = d.breakdown.as_ref().expect("breakdown section present");
         assert_eq!(breakdown.walks, 2);
         assert_eq!(breakdown.latency_total, 45);

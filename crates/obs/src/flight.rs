@@ -11,8 +11,12 @@
 //! The dump is ordinary trace JSONL (same field spelling as
 //! [`crate::jsonl`]), prefixed per design with one meta line recording
 //! how many earlier events the ring dropped. The trace parser skips that
-//! line, so `analyze` reads a flight dump like any truncated trace; a
-//! dump that dropped nothing replays to the in-process analysis.
+//! line and [`crate::replay`] adds up the dropped counts. A dump that
+//! dropped nothing replays to the in-process analysis. One that dropped
+//! events holds only the tail of each stream, which cannot satisfy the
+//! conservation identities, so `analyze` prints its summary sections
+//! and the dropped count, says conservation is not checked, writes no
+//! `ANALYSIS.json` or HTML report and exits 0.
 
 use crate::json::Json;
 use crate::jsonl::event_fields;

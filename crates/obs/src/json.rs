@@ -6,6 +6,10 @@
 //! for reading traces and manifests back (trace inspection, CI
 //! validation). Unsigned integers get their own variant so `u64`
 //! counters round-trip exactly instead of passing through `f64`.
+//!
+//! The parser recurses once per nesting level, so it refuses documents
+//! nested deeper than [`MAX_DEPTH`] with a [`JsonError`] instead of
+//! overflowing the stack on a hostile input.
 
 use std::fmt::Write as _;
 
@@ -28,7 +32,21 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The deepest nesting [`Json::parse`] accepts. The deepest document
+/// the repository writes, `ANALYSIS.json`, nests 8 levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
+    /// An object from borrowed keys, in the given order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Builds a string value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
@@ -140,6 +158,7 @@ impl Json {
         let mut p = Parser {
             s: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -189,6 +208,8 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -233,8 +254,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -438,6 +470,25 @@ mod tests {
         let b = v.get("a").unwrap().as_arr().unwrap()[1].get("b").unwrap();
         assert_eq!(b.as_f64(), Some(-25.0));
         assert_eq!(v.get("c").unwrap().as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(
+            Json::parse(&nest(MAX_DEPTH)).is_ok(),
+            "the limit itself parses"
+        );
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.msg.contains("nested deeper"), "{err}");
+        assert_eq!(
+            err.pos, MAX_DEPTH,
+            "fails at the first bracket past the limit"
+        );
+        // A hostile line of 200 000 open brackets (and the same for
+        // objects) is an error, not a crash.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -378,6 +378,7 @@ pub struct JsonlReader<R> {
     input: BufReader<R>,
     buf: String,
     line_no: u64,
+    dropped: u64,
 }
 
 impl JsonlReader<File> {
@@ -394,6 +395,7 @@ impl<R: Read> JsonlReader<R> {
             input: BufReader::new(input),
             buf: String::new(),
             line_no: 0,
+            dropped: 0,
         }
     }
 
@@ -427,15 +429,21 @@ impl<R: Read> JsonlReader<R> {
         }
     }
 
+    /// The events the flight-recorder meta lines read so far say their
+    /// rings dropped (0 for an ordinary trace).
+    pub fn flight_dropped(&self) -> u64 {
+        self.dropped
+    }
+
     /// Reads the next event through [`TraceLine::parse`], skipping
-    /// flight-recorder meta lines. Returns `Ok(None)` at end of input; a
-    /// malformed line is an `Err` naming its line number.
+    /// flight-recorder meta lines (their dropped counts add up in
+    /// [`JsonlReader::flight_dropped`]). Returns `Ok(None)` at end of
+    /// input; a malformed line is an `Err` naming its line number.
     pub fn next_event(&mut self) -> Result<Option<TraceLine>, String> {
         while let Some(v) = self.next_line()? {
-            if let Some(line) =
-                TraceLine::parse(&v).map_err(|e| format!("line {}: {e}", self.line_no))?
-            {
-                return Ok(Some(line));
+            match TraceLine::parse(&v).map_err(|e| format!("line {}: {e}", self.line_no))? {
+                Some(line) => return Ok(Some(line)),
+                None => self.dropped += v.get("flight_dropped").and_then(Json::as_u64).unwrap_or(0),
             }
         }
         Ok(None)
@@ -769,18 +777,21 @@ pub(crate) mod tests {
         }
     }
 
+    /// One event of every variant, in chain order.
+    fn every_variant() -> Vec<Event> {
+        std::iter::successors(Some(Event::WalkStart { walk: 7, lane: 3 }), successor).collect()
+    }
+
     #[test]
     fn every_event_and_tag_round_trips_through_writer_and_parser() {
-        let mut samples = Vec::new();
-        let mut chain = 0;
-        let mut next = Some(Event::WalkStart { walk: 7, lane: 3 });
-        while let Some(ev) = next {
-            next = successor(&ev);
-            samples.extend(with_every_tag(ev));
-            chain += 1;
-        }
+        let chain = every_variant();
+        let samples: Vec<Event> = chain.iter().copied().flat_map(with_every_tag).collect();
         let kinds: BTreeSet<&str> = samples.iter().map(Event::kind).collect();
-        assert_eq!(kinds.len(), chain, "the chain visits each variant once");
+        assert_eq!(
+            kinds.len(),
+            chain.len(),
+            "the chain visits each variant once"
+        );
         let events: Vec<(u64, Event)> = samples
             .into_iter()
             .zip(1..)
@@ -845,6 +856,44 @@ pub(crate) mod tests {
         assert_eq!(unlabelled.run, "?", "flight dumps carry no run label");
         let meta = "{\"design\":\"metal\",\"flight_dropped\":0,\"flight_len\":2}";
         assert_eq!(parse(meta), Ok(None), "flight meta lines are no event");
+    }
+
+    #[test]
+    fn truncated_and_corrupted_lines_are_errors_never_panics() {
+        // Every prefix of one rendered line per variant, plus seeded
+        // byte substitutions: each parses or is rejected, and through
+        // the reader (behind one good line) a rejection names line 2.
+        let events: Vec<(u64, Event)> = every_variant().into_iter().map(|e| (9, e)).collect();
+        let text = render(&events);
+        let good = text.lines().next().unwrap();
+        let mut rng = metal_sim::rng::SplitRng::seed_from_u64(0x5eed);
+        let mut rejected = 0;
+        for line in text.lines().map(str::as_bytes) {
+            let mut mutants: Vec<Vec<u8>> = (0..line.len()).map(|n| line[..n].to_vec()).collect();
+            for _ in 0..64 {
+                let mut bytes = line.to_vec();
+                let i = rng.gen_range(0..bytes.len());
+                // A newline would split the case into two lines.
+                bytes[i] = match rng.next_u64() as u8 {
+                    b'\n' | b'\r' => b'#',
+                    b => b,
+                };
+                mutants.push(bytes);
+            }
+            for bytes in mutants {
+                if let Ok(v) = Json::parse(&String::from_utf8_lossy(&bytes)) {
+                    let _ = TraceLine::parse(&v);
+                }
+                let doc = [good.as_bytes(), b"\n", &bytes, b"\n"].concat();
+                let mut reader = JsonlReader::from_reader(doc.as_slice());
+                assert!(matches!(reader.next_event(), Ok(Some(_))));
+                if let Err(e) = reader.next_event() {
+                    assert!(e.starts_with("line 2: "), "{e}");
+                    rejected += 1;
+                }
+            }
+        }
+        assert!(rejected > text.len() / 2, "most cases must be rejected");
     }
 
     impl Write for Capture {

@@ -9,9 +9,13 @@
 //!   inverse, the one parser every offline reader goes through.
 //! - [`chrome`] — a Chrome `trace_event` exporter for visual inspection
 //!   in `chrome://tracing` / Perfetto (walks become per-lane slices).
-//! - [`metrics`] — an order-free counting registry (per-set probe and
-//!   occupancy tallies, eviction/admission reason counters, per-level
-//!   hit counts, short-circuit depth distribution, tuner timeline).
+//! - [`metrics`] — [`EventCounts`], the one order-free event-count
+//!   reducer (per-kind counts, per-set probe and occupancy tallies,
+//!   per-level hits, short-circuit depths, admission/bypass/eviction
+//!   reasons, cycle columns, latency histogram, tuner decisions) with
+//!   one `observe` and one `merge`; the manifest's metrics registry,
+//!   the analyzer's whole-run counts and every epoch window are this
+//!   type.
 //! - [`manifest`] — run manifests for `--metrics-out`: configuration,
 //!   seed, git revision, wall clock and the full merged statistics of
 //!   every (workload, design) report.
@@ -28,9 +32,9 @@
 //! - [`breakdown`] — cycle-accounting rollups over the per-walk
 //!   `walk_breakdown` events (component totals, log₂ histograms, lane
 //!   reconciliation), conserved against walk latency by the validator.
-//! - [`timeseries`] — epoch-windowed counter series: merge-safe
-//!   per-window snapshots of the analyzer's counters, conserved against
-//!   the whole-run aggregates by the validator.
+//! - [`timeseries`] — epoch-windowed counter series: one merge-safe
+//!   [`EventCounts`] per window, conserved against the whole-run
+//!   aggregates by the validator.
 //! - [`watchdog`] — streaming anomaly detectors over the window series
 //!   (hit-rate collapse, scan storms, regret spikes) emitting structured
 //!   alerts.
@@ -72,8 +76,8 @@ pub use json::{Json, JsonError};
 pub use jsonl::{JsonlReader, JsonlSink, JsonlWriter, TraceLine};
 pub use ledger::{EntryLedger, LedgerSummary, RegretDelta, RegretMeter, RegretSummary};
 pub use manifest::{stats_json, ManifestReport, RunManifest};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, RegistrySink};
+pub use metrics::{EventCounts, MetricsRegistry, RegistrySink, TunerRec};
 pub use report::{render_html, render_html_with_measured, MeasuredRow};
 pub use reuse::{FaLru, LogHist, MissTaxonomy, ReuseProfiler, TaxonomyCounts};
-pub use timeseries::{TimeSeries, WindowCounters};
+pub use timeseries::TimeSeries;
 pub use watchdog::{analysis_document, scan_analysis, Alert, AlertKind, WatchdogConfig};

@@ -4,7 +4,7 @@
 //! reproduce the run and to cross-check a trace against its CSV.
 
 use crate::json::Json;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::EventCounts;
 use crate::watchdog::Alert;
 use metal_sim::stats::{LatencyStats, RunStats};
 use std::path::Path;
@@ -128,7 +128,7 @@ pub struct RunManifest {
     /// One entry per (workload, design) simulated.
     pub reports: Vec<ManifestReport>,
     /// Aggregated event metrics, when a registry observed the run.
-    pub metrics: Option<MetricsSnapshot>,
+    pub metrics: Option<EventCounts>,
     /// Watchdog alerts raised over the run's telemetry series; empty
     /// (and absent from the rendered document) when no anomaly fired.
     pub alerts: Vec<Alert>,

@@ -8,7 +8,6 @@
 use crate::analysis::{DesignAnalysis, TraceAnalysis};
 use crate::breakdown::COMPONENTS;
 use crate::reuse::LogHist;
-use crate::timeseries::WindowCounters;
 use crate::watchdog::{scan_analysis, WatchdogConfig};
 use metal_sim::obs::WIDE_SET;
 
@@ -89,16 +88,17 @@ fn svg_log_hist(title: &str, hist: &LogHist, extra: &[(&str, u64)]) -> String {
 /// final occupancy; the wide partition is summarized per index below.
 fn svg_occupancy(d: &DesignAnalysis) -> String {
     let narrow: Vec<((u8, u32), i64)> = d
+        .counts
         .occupancy_by_set
         .iter()
         .filter(|((_, s), _)| *s != WIDE_SET)
         .map(|(&k, &v)| (k, v))
         .collect();
-    if narrow.is_empty() && d.occupancy_by_set.is_empty() {
+    if narrow.is_empty() && d.counts.occupancy_by_set.is_empty() {
         return "<p class=\"empty\">no fills recorded</p>".to_string();
     }
     let indexes: Vec<u8> = {
-        let mut v: Vec<u8> = d.occupancy_by_set.keys().map(|&(i, _)| i).collect();
+        let mut v: Vec<u8> = d.counts.occupancy_by_set.keys().map(|&(i, _)| i).collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -138,6 +138,7 @@ fn svg_occupancy(d: &DesignAnalysis) -> String {
     }
     s.push_str("</svg>");
     let wide: Vec<String> = d
+        .counts
         .occupancy_by_set
         .iter()
         .filter(|((_, s), _)| *s == WIDE_SET)
@@ -156,15 +157,12 @@ fn svg_occupancy(d: &DesignAnalysis) -> String {
 /// The tuner timeline: decisions as markers over simulated time, one
 /// row per (index, parameter).
 fn svg_tuner_timeline(d: &DesignAnalysis) -> String {
-    if d.tuner_decisions.is_empty() {
+    if d.counts.tuner_decisions.is_empty() {
         return "<p class=\"empty\">no tuner decisions</p>".to_string();
     }
-    let mut decisions = d.tuner_decisions.clone();
-    decisions.sort();
-    let mut rows: Vec<(u8, String)> = decisions
-        .iter()
-        .map(|t| (t.index, t.param.clone()))
-        .collect();
+    let mut decisions = d.counts.tuner_decisions.clone();
+    decisions.sort_unstable();
+    let mut rows: Vec<(u8, &str)> = decisions.iter().map(|t| (t.index, t.param)).collect();
     rows.sort();
     rows.dedup();
     let t_max = decisions.iter().map(|t| t.at).max().unwrap_or(1).max(1);
@@ -265,17 +263,6 @@ fn svg_series_line(title: &str, points: &[(u64, f64)]) -> String {
     )
 }
 
-/// The five window cycle columns in [`COMPONENTS`] order.
-fn window_cycles(w: &WindowCounters) -> [u64; 5] {
-    [
-        w.ix_probe_cycles,
-        w.compute_cycles,
-        w.queue_cycles,
-        w.stall_cycles,
-        w.hidden_cycles,
-    ]
-}
-
 /// One horizontal stacked bar over the five component totals, with a
 /// legend row per component.
 fn svg_breakdown_stack(cycles: [u64; 5]) -> String {
@@ -317,7 +304,7 @@ fn svg_breakdown_epochs(series: &crate::timeseries::TimeSeries) -> String {
     let bars: Vec<(u64, [u64; 5])> = series
         .windows
         .iter()
-        .map(|(&e, w)| (e, window_cycles(w)))
+        .map(|(&e, w)| (e, w.cycles))
         .filter(|(_, c)| c.iter().any(|&v| v > 0))
         .collect();
     if bars.is_empty() {
@@ -389,17 +376,17 @@ fn series_section(d: &DesignAnalysis) -> String {
     let Some(series) = &d.series else {
         return String::new();
     };
-    let pick = |f: &dyn Fn(&crate::timeseries::WindowCounters) -> f64| -> Vec<(u64, f64)> {
+    let pick = |f: &dyn Fn(&crate::metrics::EventCounts) -> f64| -> Vec<(u64, f64)> {
         series.windows.iter().map(|(&e, w)| (e, f(w))).collect()
     };
     let hit_rate = pick(&|w| {
-        if w.probes == 0 {
+        if w.probes() == 0 {
             0.0
         } else {
-            w.hits_total() as f64 / w.probes as f64
+            w.hits_total() as f64 / w.probes() as f64
         }
     });
-    let probes = pick(&|w| w.probes as f64);
+    let probes = pick(&|w| w.probes() as f64);
     let evictions = pick(&|w| w.evictions_total() as f64);
     let regret = pick(&|w| w.regretted as f64);
     format!(

@@ -186,17 +186,13 @@ pub fn scan_series(design: &str, series: &TimeSeries, cfg: &WatchdogConfig) -> V
     let mut base = Baseline::new(cfg.trailing.max(1));
     for (&epoch, w) in &series.windows {
         let hits = w.hits_total() as f64;
-        let probes = w.probes as f64;
-        let hit_rate = if w.probes > 0 { hits / probes } else { 0.0 };
+        let probes = w.probes() as f64;
+        let hit_rate = if probes > 0.0 { hits / probes } else { 0.0 };
         let evictions = w.evictions_total() as f64;
         let regret = w.regretted as f64;
-        let cycles = w.ix_probe_cycles
-            + w.compute_cycles
-            + w.queue_cycles
-            + w.stall_cycles
-            + w.hidden_cycles;
+        let cycles = w.cycles_total();
         let stall_frac = if cycles > 0 {
-            w.stall_cycles as f64 / cycles as f64
+            w.cycles_of("stall") as f64 / cycles as f64
         } else {
             0.0
         };
@@ -220,7 +216,7 @@ pub fn scan_series(design: &str, series: &TimeSeries, cfg: &WatchdogConfig) -> V
                 });
             }
         }
-        if base.full() && w.probes >= cfg.min_probes {
+        if base.full() && w.probes() >= cfg.min_probes {
             let base_hit = Baseline::mean(&base.hit_rates);
             if base_hit > 0.0 && hit_rate < cfg.hit_collapse_ratio * base_hit {
                 alerts.push(Alert {
@@ -309,14 +305,12 @@ pub fn analysis_document(analysis: &TraceAnalysis, alerts: &[Alert]) -> Json {
 mod tests {
     use super::*;
     use crate::analysis::validate_analysis_gated;
+    use crate::metrics::EventCounts;
     use metal_sim::epoch::EpochSpec;
 
-    fn steady_window(probes: u64, hits: u64) -> crate::timeseries::WindowCounters {
-        let mut w = crate::timeseries::WindowCounters {
-            probes,
-            misses: probes - hits,
-            ..Default::default()
-        };
+    fn steady_window(probes: u64, hits: u64) -> EventCounts {
+        let mut w = EventCounts::default();
+        w.events_by_kind.insert("ix_probe", probes);
         w.hits_by_level.insert(2, hits);
         w
     }
@@ -357,14 +351,14 @@ mod tests {
         for e in 0..5 {
             let w = s.window_mut(e);
             *w = steady_window(1000, 700);
-            w.evictions_by_reason.insert("capacity".into(), 10);
+            w.evictions_by_reason.insert("capacity", 10);
             w.regretted = 2;
         }
         {
             let w = s.window_mut(5);
             *w = steady_window(1000, 700);
             w.scan_probes = 900;
-            w.evictions_by_reason.insert("capacity".into(), 100);
+            w.evictions_by_reason.insert("capacity", 100);
             w.regretted = 40;
         }
         let alerts = scan_series("metal", &s, &cfg);
@@ -380,20 +374,10 @@ mod tests {
         // Memory-bound baseline: ~80% of attributed cycles are exposed
         // DRAM stall.
         for e in 0..6 {
-            let w = s.window_mut(e);
-            w.ix_probe_cycles = 300;
-            w.compute_cycles = 1500;
-            w.queue_cycles = 200;
-            w.stall_cycles = 8000;
+            s.window_mut(e).cycles = [300, 1500, 200, 8000, 0];
         }
         // Epoch 6 goes compute-bound: 5% stall.
-        {
-            let w = s.window_mut(6);
-            w.ix_probe_cycles = 300;
-            w.compute_cycles = 9000;
-            w.queue_cycles = 200;
-            w.stall_cycles = 500;
-        }
+        s.window_mut(6).cycles = [300, 9000, 200, 500, 0];
         let alerts = scan_series("metal", &s, &WatchdogConfig::default());
         assert_eq!(alerts.len(), 1, "{alerts:?}");
         assert_eq!(alerts[0].kind, AlertKind::StallCollapse);
@@ -411,20 +395,18 @@ mod tests {
         // compute-bound.
         let mut s = TimeSeries::new(EpochSpec::Walks(100));
         for e in 0..6 {
-            let w = s.window_mut(e);
-            w.compute_cycles = 100;
-            w.stall_cycles = 400; // memory-bound but only 500 cycles
+            // Memory-bound but only 500 cycles.
+            s.window_mut(e).cycles = [0, 100, 0, 400, 0];
         }
-        s.window_mut(6).compute_cycles = 500;
+        s.window_mut(6).cycles = [0, 500, 0, 0, 0];
         assert!(scan_series("m", &s, &cfg).is_empty(), "under the floor");
 
         let mut s = TimeSeries::new(EpochSpec::Walks(100));
         for e in 0..7 {
-            let w = s.window_mut(e);
-            w.compute_cycles = 9000; // already compute-bound
-            w.stall_cycles = 1000;
+            // Already compute-bound.
+            s.window_mut(e).cycles = [0, 9000, 0, 1000, 0];
         }
-        s.window_mut(7).compute_cycles = 10_000;
+        s.window_mut(7).cycles = [0, 10_000, 0, 0, 0];
         assert!(
             scan_series("m", &s, &cfg).is_empty(),
             "no memory-bound regime to collapse from"

@@ -61,7 +61,7 @@ pub fn check_design(
     }
     let st = &bare.stats;
     let snap = registry.snapshot();
-    let ev = |kind: &str| snap.events_by_kind.get(kind).copied().unwrap_or(0);
+    let ev = |kind: &str| snap.kind(kind);
 
     if ev("walk_end") != st.walks {
         return fail(

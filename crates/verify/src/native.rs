@@ -135,8 +135,11 @@ fn diff_u64(label: &str, field: &str, s: u64, n: u64) -> Result<(), Divergence> 
 }
 
 /// Every semantic outcome the two backends must agree on, compared
-/// field-by-field so the first mismatch names itself.
-fn diff_reports(label: &str, sim: &RunReport, native: &RunReport) -> Result<(), Divergence> {
+/// field-by-field so the first mismatch names itself: the walk, write,
+/// split/merge, probe, admission, short-circuit and invalidation
+/// counters, node fetches, per-level hits, final occupancy and the
+/// tuner's band history — and `native` must carry measured metrics.
+pub fn diff_reports(label: &str, sim: &RunReport, native: &RunReport) -> Result<(), Divergence> {
     let s = &sim.stats;
     let n = &native.stats;
     for (field, sv, nv) in [

@@ -7,41 +7,36 @@
 //! native backend executes the same request streams against materialized
 //! paged B+tree nodes, so every one of those outcomes is recomputed by
 //! entirely different machinery (page I/O + deserialized nodes instead
-//! of modeled node vectors). This test pins the two together:
+//! of modeled node vectors). This test pins the two together through
+//! [`diff_reports`], the one definition of sim ≡ native (the fuzz
+//! swarm's too):
 //!
 //! - `where` (read-mostly analytics), `uniform_std_v1` at 30% writes
 //!   (CRUD: splits, merges, invalidation) and `drift_hotspot_v1`
 //!   (drifting hotspot + scan storms) run at ci scale through both
-//!   backends under every native-capable design;
-//! - `(found_walks, write_walks, node_splits, node_merges)`, the probe
-//!   counters and the per-level IX hit counts must be identical;
-//! - the combined rows are pinned byte-for-byte as
-//!   `tests/goldens/fig_native_ci.csv` (the same bytes the `fig_native`
-//!   binary prints — `ci.sh` diffs the binary's output against the same
-//!   golden, which keeps this file's row formatting honest);
-//! - worker count (`shards` 1 vs 4) must not change a single row, and a
-//!   finite shard grain must shard both backends identically;
+//!   backends under every native-capable design, and must agree;
+//! - worker count (`shards` 1 vs 4) must not change a single outcome,
+//!   and a finite shard grain must shard both backends identically;
+//! - MLP widths 4 and 8 must leave every outcome as at width 1;
 //! - on the CRUD mix, the cache-side event sequences of `metal-ix` and
 //!   `metal` must be identical event for event, at widths 1 and 8.
+//!
+//! The rows these runs produce are pinned once, as
+//! `tests/goldens/fig_native_ci.csv`, by the golden figure test that
+//! runs the real `fig fig_native` binary.
 //!
 //! Both backends run one cache-decision kernel (`metal_core::decide`),
 //! so what this file guards is the rest: the two storage layers, the two
 //! adapters around the kernel, and timing.
-//!
-//! Regenerate after an intentional model change with:
-//!
-//! ```text
-//! METAL_UPDATE_GOLDENS=1 cargo test -p metal-verify --test backend_equivalence
-//! ```
 
 use metal_core::models::{DesignSpec, Experiment};
 use metal_core::runner::{run_design, Backend, ObsConfig, RunConfig, RunReport, ShardCtx};
 use metal_core::IxConfig;
 use metal_sim::obs::{shared, Event, EventSink};
+use metal_verify::native::diff_reports;
 use metal_workloads::crud::uniform_std_v1;
 use metal_workloads::drift::drift_hotspot_v1;
 use metal_workloads::{BuiltWorkload, Scale, Workload};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 const CACHE_BYTES: usize = 64 * 1024;
@@ -74,153 +69,36 @@ fn workloads() -> Vec<BuiltWorkload> {
     ]
 }
 
-/// One golden CSV row — must format exactly like `fig_native`'s rows.
-fn outcome_row(workload: &str, design: &str, backend: &str, r: &RunReport) -> String {
-    let hit_levels = if r.stats.hit_levels.is_empty() {
-        "-".to_string()
-    } else {
-        r.stats
-            .hit_levels
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(":")
-    };
-    format!(
-        "{workload},{design},{backend},{},{},{},{},{},{},{},{},{},{},{hit_levels}",
-        r.stats.walks,
-        r.stats.found_walks,
-        r.stats.write_walks,
-        r.stats.node_splits,
-        r.stats.node_merges,
-        r.stats.probes,
-        r.stats.misses,
-        r.stats.inserts,
-        r.stats.bypasses,
-        r.stats.entries_invalidated,
-    )
-}
-
-const HEADER: &str = "workload,design,backend,walks,found,write,splits,merges,\
-                      probes,misses,inserts,bypasses,invalidated,hit_levels";
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("tests/goldens/fig_native_ci.csv")
-}
-
-fn check_golden(produced: &str) {
-    let path = golden_path();
-    if std::env::var("METAL_UPDATE_GOLDENS").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, produced).unwrap();
-        eprintln!("updated {}", path.display());
-        return;
+/// Panics with the first outcome on which `sim` and `native` differ.
+fn assert_agree(label: &str, sim: &RunReport, native: &RunReport) {
+    if let Err(d) = diff_reports(label, sim, native) {
+        panic!("backend divergence: {}", d.what);
     }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\n(run with METAL_UPDATE_GOLDENS=1 to create)",
-            path.display()
-        )
-    });
-    if produced != want {
-        let diff: Vec<String> = produced
-            .lines()
-            .zip(want.lines())
-            .filter(|(a, b)| a != b)
-            .map(|(a, b)| format!("  got:  {a}\n  want: {b}"))
-            .collect();
-        panic!(
-            "fig_native_ci.csv diverged from its golden ({} differing rows):\n{}\n\
-             If intentional, regenerate with METAL_UPDATE_GOLDENS=1 \
-             cargo test -p metal-verify --test backend_equivalence",
-            diff.len(),
-            diff.join("\n")
-        );
-    }
-}
-
-/// The semantic outcomes both backends must agree on, as a comparable
-/// tuple (everything except modeled timing/energy/working-set numbers,
-/// which only the simulator produces).
-#[allow(clippy::type_complexity)]
-fn semantics(r: &RunReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, Vec<u64>) {
-    (
-        r.stats.found_walks,
-        r.stats.write_walks,
-        r.stats.node_splits,
-        r.stats.node_merges,
-        r.stats.probes,
-        r.stats.misses,
-        r.stats.inserts,
-        r.stats.bypasses,
-        r.stats.levels_skipped,
-        r.stats.entries_invalidated,
-        r.stats.hit_levels.clone(),
-    )
 }
 
 #[test]
-fn backends_agree_and_golden_is_pinned() {
-    let mut rows = vec![HEADER.replace(' ', "")];
+fn backends_agree() {
     for built in workloads() {
         let exp = built.experiment();
         for (name, spec) in native_designs(&built) {
+            let label = format!("{}/{name}", built.name);
             let cfg = RunConfig::default().with_lanes(built.tiles);
+            let native_cfg = cfg.clone().with_backend(Backend::Native);
             let sim = run_design(&spec, &exp, &cfg);
-            let native = run_design(&spec, &exp, &cfg.clone().with_backend(Backend::Native));
-            assert_eq!(
-                semantics(&sim),
-                semantics(&native),
-                "{}/{name}: backend divergence",
-                built.name
-            );
-            assert_eq!(
-                sim.stats.dram_node_reads, native.stats.dram_node_reads,
-                "{}/{name}: node-fetch counts differ",
-                built.name
-            );
-            assert_eq!(
-                sim.occupancy_by_level, native.occupancy_by_level,
-                "{}/{name}: final cache occupancy differs",
-                built.name
-            );
-            assert_eq!(
-                sim.band_history, native.band_history,
-                "{}/{name}: tuner trajectories differ",
-                built.name
-            );
+            let native = run_design(&spec, &exp, &native_cfg);
+            assert_agree(&label, &sim, &native);
             assert!(
-                native.native.is_some() && sim.native.is_none(),
+                sim.native.is_none(),
                 "measured metrics belong to native reports only"
             );
 
             // Worker count never changes results, through either backend.
-            for backend in [Backend::Sim, Backend::Native] {
-                let four = run_design(
-                    &spec,
-                    &exp,
-                    &cfg.clone().with_backend(backend).with_shards(4),
-                );
-                let base = if backend == Backend::Sim {
-                    &sim
-                } else {
-                    &native
-                };
-                assert_eq!(
-                    semantics(base),
-                    semantics(&four),
-                    "{}/{name}: shards=4 changed {backend:?} results",
-                    built.name
-                );
-            }
-
-            rows.push(outcome_row(built.name, name, "sim", &sim));
-            rows.push(outcome_row(built.name, name, "native", &native));
+            let sim4 = run_design(&spec, &exp, &cfg.with_shards(4));
+            let native4 = run_design(&spec, &exp, &native_cfg.with_shards(4));
+            assert_agree(&format!("{label} (native shards=4)"), &sim, &native4);
+            assert_agree(&format!("{label} (shards=4)"), &sim4, &native4);
         }
     }
-    check_golden(&(rows.join("\n") + "\n"));
 }
 
 #[test]
@@ -237,34 +115,19 @@ fn mlp_widths_are_semantically_invisible_through_both_backends() {
     for (name, spec) in native_designs(&built) {
         let base_cfg = RunConfig::default().with_lanes(built.tiles);
         let serial_sim = run_design(&spec, &exp, &base_cfg);
-        let serial_native =
-            run_design(&spec, &exp, &base_cfg.clone().with_backend(Backend::Native));
         for width in [4usize, 8] {
             let cfg = base_cfg.clone().with_mlp_width(width);
             let sim = run_design(&spec, &exp, &cfg);
-            let native = run_design(&spec, &exp, &cfg.clone().with_backend(Backend::Native));
-            assert_eq!(
-                semantics(&serial_sim),
-                semantics(&sim),
-                "{name}: width {width} changed simulator semantics"
+            let native = run_design(&spec, &exp, &cfg.with_backend(Backend::Native));
+            // Native at this width agrees with the serial simulator, and
+            // the simulator at this width with native: neither backend's
+            // semantics moved.
+            assert_agree(
+                &format!("{name} width {width} vs width 1"),
+                &serial_sim,
+                &native,
             );
-            assert_eq!(
-                semantics(&serial_native),
-                semantics(&native),
-                "{name}: width {width} changed native semantics"
-            );
-            assert_eq!(
-                sim.stats.dram_node_reads, native.stats.dram_node_reads,
-                "{name}: width {width} node-fetch counts differ"
-            );
-            assert_eq!(
-                sim.occupancy_by_level, native.occupancy_by_level,
-                "{name}: width {width} final cache occupancy differs"
-            );
-            assert_eq!(
-                sim.band_history, native.band_history,
-                "{name}: width {width} tuner trajectories differ"
-            );
+            assert_agree(&format!("{name} width {width}"), &sim, &native);
         }
     }
 }
@@ -284,11 +147,7 @@ fn sharded_streams_shard_identically_through_both_backends() {
             .with_shard_walks(1000);
         let sim = run_design(&spec, &exp, &cfg);
         let native = run_design(&spec, &exp, &cfg.clone().with_backend(Backend::Native));
-        assert_eq!(
-            semantics(&sim),
-            semantics(&native),
-            "{name}: sharded backend divergence"
-        );
+        assert_agree(&format!("{name} (shard grain 1000)"), &sim, &native);
     }
 }
 
