@@ -54,7 +54,6 @@ pub mod range;
 pub mod request;
 pub mod runner;
 pub mod tuner;
-pub mod walker;
 
 /// Convenient glob import for harnesses and examples.
 pub mod prelude {

@@ -35,16 +35,23 @@
 //! ix_fuzz [--cases N] [--seed S] [--corpus-dir DIR] [--budget-secs T]
 //!         [--mutate] [--backend sim|native] [--mlp-width N]
 //! ```
+//!
+//! An unknown flag, a missing or malformed value or a zero
+//! `--mlp-width` exits 2 naming the flag; `--help` prints the usage
+//! and exits 0. A run exits 1 when any case failed.
 
-use metal_verify::check::{check_translation, run_scenario, Divergence};
-use metal_verify::design::{check_designs_case, check_designs_case_crud};
-use metal_verify::native::{check_native_case, gen_native_case, shrink_native_case, NativeCase};
+use metal_verify::check::Divergence;
+use metal_verify::design::check_designs_case;
+use metal_verify::native::gen_native_case;
 use metal_verify::refcache::check_baselines_case;
-use metal_verify::scenario::{gen_scenario, gen_scenario_crud, Scenario};
-use metal_verify::shrink::shrink_scenario;
+use metal_verify::scenario::gen_scenario;
+use metal_verify::shrink::{shrink, Case};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::time::Instant;
+
+const USAGE: &str = "usage: ix_fuzz [--cases N] [--seed S] [--corpus-dir DIR] [--budget-secs T]
+               [--mutate] [--backend sim|native] [--mlp-width N]";
 
 struct Args {
     cases: u64,
@@ -56,7 +63,10 @@ struct Args {
     mlp_width: Option<usize>,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line; `Ok(None)` is `--help`. Any other flag, a
+/// missing or malformed value, or a zero `--mlp-width` is an error
+/// naming the flag.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         cases: 500,
         seed: 1,
@@ -66,84 +76,89 @@ fn parse_args() -> Args {
         native: false,
         mlp_width: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
+        let mut val = |name: &str| it.next().ok_or(format!("{name} needs a value"));
+        let num = |name: &str, v: String| {
+            v.parse::<u64>()
+                .map_err(|_| format!("{name}: '{v}' is not a number"))
+        };
         match flag.as_str() {
-            "--cases" => args.cases = val("--cases").parse().expect("--cases: not a number"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed: not a number"),
-            "--corpus-dir" => args.corpus_dir = val("--corpus-dir"),
-            "--budget-secs" => {
-                args.budget_secs = val("--budget-secs")
-                    .parse()
-                    .expect("--budget-secs: not a number")
-            }
+            "--help" => return Ok(None),
+            "--cases" => args.cases = num("--cases", val("--cases")?)?,
+            "--seed" => args.seed = num("--seed", val("--seed")?)?,
+            "--corpus-dir" => args.corpus_dir = val("--corpus-dir")?,
+            "--budget-secs" => args.budget_secs = num("--budget-secs", val("--budget-secs")?)?,
             "--mutate" => args.mutate = true,
-            "--mlp-width" => {
-                let w: usize = val("--mlp-width")
-                    .parse()
-                    .expect("--mlp-width: not a number");
-                assert!(w > 0, "--mlp-width must be at least 1");
-                args.mlp_width = Some(w);
-            }
-            "--backend" => match val("--backend").as_str() {
+            "--mlp-width" => match num("--mlp-width", val("--mlp-width")?)? {
+                0 => return Err("--mlp-width must be at least 1".into()),
+                w => args.mlp_width = Some(w as usize),
+            },
+            "--backend" => match val("--backend")?.as_str() {
                 "sim" => args.native = false,
                 "native" => args.native = true,
-                other => panic!("unknown backend '{other}' (sim|native)"),
+                other => return Err(format!("--backend: unknown backend '{other}' (sim|native)")),
             },
-            other => panic!("unknown flag {other}"),
+            other => return Err(format!("unknown flag '{other}'")),
         }
     }
-    args
+    Ok(Some(args))
 }
 
-/// Runs every check for one IX scenario, folding panics (e.g. debug
-/// overflow) into divergences so the shrinker can minimize them too.
-fn check_ix(s: &Scenario) -> Result<(), Divergence> {
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        run_scenario(s)?;
-        if s.ample {
-            for delta in [1, 1 << 20, u64::MAX / 2] {
-                check_translation(s, delta)?;
-            }
-        }
-        Ok(())
-    }));
-    match r {
-        Ok(inner) => inner,
-        Err(p) => Err(Divergence {
-            op: s.ops.len(),
-            what: format!("panic: {}", panic_message(&p)),
-        }),
-    }
+/// Runs `check`, folding a panic (e.g. debug overflow or a backend
+/// storage failure) into a divergence at op `end`, so the shrinker
+/// can minimize it too.
+fn guarded(end: usize, check: impl FnOnce() -> Result<(), Divergence>) -> Result<(), Divergence> {
+    catch_unwind(AssertUnwindSafe(check)).unwrap_or_else(|p| {
+        let what = if let Some(s) = p.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = p.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".into()
+        };
+        Err(Divergence {
+            op: end,
+            what: format!("panic: {what}"),
+        })
+    })
 }
 
-/// Runs one native differential case, folding panics (e.g. a backend
-/// storage failure or debug overflow) into divergences so the shrinker
-/// can minimize them too.
-fn check_native(c: &NativeCase) -> Result<(), Divergence> {
-    let r = catch_unwind(AssertUnwindSafe(|| check_native_case(c)));
-    match r {
-        Ok(inner) => inner,
-        Err(p) => Err(Divergence {
-            op: c.reqs.len(),
-            what: format!("panic: {}", panic_message(&p)),
-        }),
-    }
-}
-
-fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".into()
-    }
+/// Checks one case; on a divergence, shrinks it, re-checks the shrunk
+/// repro and writes it to the corpus as `{KIND}-seed{seed}.json`.
+/// Returns whether the case failed.
+fn bank<C: Case>(case: &C, what: &str, seed: u64, corpus_dir: &str) -> bool {
+    let check = |c: &C| guarded(c.items().len(), || c.check());
+    let Err(d) = check(case) else {
+        return false;
+    };
+    eprintln!("FAIL {what}: {d}");
+    let small = shrink(case, |c| check(c).is_err());
+    let why = check(&small).expect_err("shrunk case must still fail");
+    let path = format!("{corpus_dir}/{}-seed{seed}.json", C::KIND);
+    std::fs::create_dir_all(corpus_dir).expect("create corpus dir");
+    std::fs::write(&path, small.to_json().render() + "\n").expect("write corpus repro");
+    eprintln!(
+        "  shrunk {} {items} -> {} {items} ({why}); repro written to {path}",
+        case.items().len(),
+        small.items().len(),
+        items = C::ITEMS,
+    );
+    true
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("ix_fuzz: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let start = Instant::now();
     let mut failures = 0u64;
     let mut ran = 0u64;
@@ -169,89 +184,30 @@ fn main() -> ExitCode {
             if let Some(w) = args.mlp_width {
                 case.mlp_width = w;
             }
-            if let Err(d) = check_native(&case) {
-                failures += 1;
-                eprintln!("FAIL native case {i} (seed {case_seed}): {d}");
-                let small = shrink_native_case(&case, |c| check_native(c).is_err());
-                let why = check_native(&small).expect_err("shrunk case must still fail");
-                let path = format!("{}/native-seed{case_seed}.json", args.corpus_dir);
-                std::fs::create_dir_all(&args.corpus_dir).expect("create corpus dir");
-                std::fs::write(&path, small.to_json().render() + "\n").expect("write corpus repro");
-                eprintln!(
-                    "  shrunk {} reqs -> {} reqs ({why}); repro written to {path}",
-                    case.reqs.len(),
-                    small.reqs.len()
-                );
-            }
+            let what = format!("native case {i} (seed {case_seed})");
+            failures += bank(&case, &what, case_seed, &args.corpus_dir) as u64;
             continue;
         }
 
         // Swarm mix: mostly IX scenarios (the subsystem under test),
         // with baseline and design-accounting sweeps interleaved.
-        match i % 8 {
-            5 => {
-                let r = catch_unwind(AssertUnwindSafe(|| check_baselines_case(case_seed)));
-                match r {
-                    Ok(Ok(())) => {}
-                    Ok(Err(d)) => {
-                        failures += 1;
-                        eprintln!("FAIL baseline case {i} (seed {case_seed}): {d}");
-                    }
-                    Err(p) => {
-                        failures += 1;
-                        eprintln!(
-                            "FAIL baseline case {i} (seed {case_seed}): panic: {}",
-                            panic_message(&p)
-                        );
-                    }
-                }
-            }
-            6 => {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    if args.mutate {
-                        check_designs_case_crud(case_seed)
-                    } else {
-                        check_designs_case(case_seed)
-                    }
-                }));
-                match r {
-                    Ok(Ok(())) => {}
-                    Ok(Err(d)) => {
-                        failures += 1;
-                        eprintln!("FAIL design case {i} (seed {case_seed}): {d}");
-                    }
-                    Err(p) => {
-                        failures += 1;
-                        eprintln!(
-                            "FAIL design case {i} (seed {case_seed}): panic: {}",
-                            panic_message(&p)
-                        );
-                    }
-                }
-            }
+        let (what, verdict) = match i % 8 {
+            5 => ("baseline", guarded(0, || check_baselines_case(case_seed))),
+            6 => (
+                "design",
+                guarded(0, || check_designs_case(case_seed, args.mutate)),
+            ),
             n => {
                 let ample = n % 2 == 0;
-                let s = if args.mutate {
-                    gen_scenario_crud(case_seed, ample)
-                } else {
-                    gen_scenario(case_seed, ample)
-                };
-                if let Err(d) = check_ix(&s) {
-                    failures += 1;
-                    eprintln!("FAIL ix case {i} (seed {case_seed}, ample {ample}): {d}");
-                    let small = shrink_scenario(&s, |c| check_ix(c).is_err());
-                    let why = check_ix(&small).expect_err("shrunk case must still fail");
-                    let path = format!("{}/ix-seed{case_seed}.json", args.corpus_dir);
-                    std::fs::create_dir_all(&args.corpus_dir).expect("create corpus dir");
-                    std::fs::write(&path, small.to_json().render() + "\n")
-                        .expect("write corpus repro");
-                    eprintln!(
-                        "  shrunk {} ops -> {} ops ({why}); repro written to {path}",
-                        s.ops.len(),
-                        small.ops.len()
-                    );
-                }
+                let s = gen_scenario(case_seed, ample, args.mutate);
+                let what = format!("ix case {i} (seed {case_seed}, ample {ample})");
+                failures += bank(&s, &what, case_seed, &args.corpus_dir) as u64;
+                continue;
             }
+        };
+        if let Err(d) = verdict {
+            failures += 1;
+            eprintln!("FAIL {what} case {i} (seed {case_seed}): {d}");
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::oracle::{spec_probe, HistoryOracle};
 use crate::scenario::{Op, Scenario, ALL_LEVELS};
 use metal_core::range::KeyRange;
-use metal_core::IxCache;
+use metal_core::{IxCache, IxHit};
 
 /// A reproducible disagreement between the cache and the spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,11 +31,56 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-fn fail(op: usize, what: impl Into<String>) -> Result<(), Divergence> {
+/// The one way a check reports its first divergence.
+pub(crate) fn fail<T>(op: usize, what: impl Into<String>) -> Result<T, Divergence> {
     Err(Divergence {
         op,
         what: what.into(),
     })
+}
+
+/// The API form of [`Op::Invalidate::level`]: `None` for every level.
+fn level_filter(level: u8) -> Option<u8> {
+    (level != ALL_LEVELS).then_some(level)
+}
+
+/// Applies one op to `cache`; a probe returns its hit.
+fn apply(op: &Op, cache: &mut IxCache) -> Option<IxHit> {
+    match *op {
+        Op::Insert {
+            index,
+            node,
+            lo,
+            hi,
+            level,
+            bytes,
+            life,
+        } => cache.insert(index, node, KeyRange::new(lo, hi), level, bytes, life),
+        Op::Probe { index, key } => return cache.probe(index, key),
+        Op::Invalidate {
+            index,
+            level,
+            lo,
+            hi,
+        } => cache.invalidate_range(index, level_filter(level), KeyRange::new(lo, hi)),
+        Op::Flush => cache.flush(),
+    }
+    None
+}
+
+/// The op with every key it names moved up by `delta` (which must not
+/// overflow a range bound; probe keys saturate).
+fn translate(op: &Op, delta: u64) -> Op {
+    let mut t = *op;
+    match &mut t {
+        Op::Insert { lo, hi, .. } | Op::Invalidate { lo, hi, .. } => {
+            *lo += delta;
+            *hi += delta;
+        }
+        Op::Probe { key, .. } => *key = key.saturating_add(delta),
+        Op::Flush => {}
+    }
+    t
 }
 
 /// Runs the full differential check over one scenario.
@@ -47,6 +92,19 @@ pub fn run_scenario(s: &Scenario) -> Result<(), Divergence> {
     let mut flushed = 0usize;
 
     for (i, op) in s.ops.iter().enumerate() {
+        // The spec predicts a probe from the residency before it, and a
+        // flush's victims are counted before they go.
+        let expected = match *op {
+            Op::Probe { index, key } => {
+                spec_probe(&cache.snapshot(), index, key, cache.probe_set(index, key))
+            }
+            Op::Flush => {
+                flushed += cache.occupancy();
+                None
+            }
+            _ => None,
+        };
+        let actual = apply(op, &mut cache);
         match *op {
             Op::Insert {
                 index,
@@ -54,10 +112,8 @@ pub fn run_scenario(s: &Scenario) -> Result<(), Divergence> {
                 lo,
                 hi,
                 level,
-                bytes,
-                life,
+                ..
             } => {
-                cache.insert(index, node, KeyRange::new(lo, hi), level, bytes, life);
                 hist.insert(index, level, KeyRange::new(lo, hi), node);
                 // Every resident segment must be justified by history.
                 for e in cache.snapshot() {
@@ -76,9 +132,6 @@ pub fn run_scenario(s: &Scenario) -> Result<(), Divergence> {
                 }
             }
             Op::Probe { index, key } => {
-                let snap = cache.snapshot();
-                let expected = spec_probe(&snap, index, key, cache.probe_set(index, key));
-                let actual = cache.probe(index, key);
                 expected_probes += 1;
                 match (&expected, &actual) {
                     (None, None) => expected_misses += 1,
@@ -165,12 +218,7 @@ pub fn run_scenario(s: &Scenario) -> Result<(), Divergence> {
                 hi,
             } => {
                 let range = KeyRange::new(lo, hi);
-                let level = if level == ALL_LEVELS {
-                    None
-                } else {
-                    Some(level)
-                };
-                cache.invalidate_range(index, level, range);
+                let level = level_filter(level);
                 hist.invalidate(index, level, range);
                 // Coherence postcondition: nothing matching the filter
                 // may still overlap the revoked span, and survivors
@@ -202,8 +250,6 @@ pub fn run_scenario(s: &Scenario) -> Result<(), Divergence> {
                 }
             }
             Op::Flush => {
-                flushed += cache.occupancy();
-                cache.flush();
                 hist.flush();
                 if cache.occupancy() != 0 {
                     return fail(i, "flush left residents behind");
@@ -291,97 +337,29 @@ pub fn check_translation(s: &Scenario, delta: u64) -> Result<(), Divergence> {
         .ops
         .iter()
         .map(|op| match *op {
-            Op::Insert { hi, .. } => hi,
+            Op::Insert { hi, .. } | Op::Invalidate { hi, .. } => hi,
             Op::Probe { key, .. } => key,
-            Op::Invalidate { hi, .. } => hi,
             Op::Flush => 0,
         })
         .max()
         .unwrap_or(0);
     let delta = delta.min(u64::MAX - max_key);
 
-    let shift = |ops: &[Op]| -> Vec<Op> {
-        ops.iter()
-            .map(|op| match *op {
-                Op::Insert {
-                    index,
-                    node,
-                    lo,
-                    hi,
-                    level,
-                    bytes,
-                    life,
-                } => Op::Insert {
-                    index,
-                    node,
-                    lo: lo + delta,
-                    hi: hi + delta,
-                    level,
-                    bytes,
-                    life,
-                },
-                Op::Probe { index, key } => Op::Probe {
-                    index,
-                    key: key.saturating_add(delta),
-                },
-                Op::Invalidate {
-                    index,
-                    level,
-                    lo,
-                    hi,
-                } => Op::Invalidate {
-                    index,
-                    level,
-                    lo: lo + delta,
-                    hi: hi + delta,
-                },
-                Op::Flush => Op::Flush,
+    // The hit of every probe, in op order, with keys moved by `delta`.
+    let outcomes = |delta: u64| -> Vec<Option<(u32, u8, u64)>> {
+        let mut cache = IxCache::new(s.config());
+        s.ops
+            .iter()
+            .map(|op| translate(op, delta))
+            .filter_map(|op| {
+                let hit = apply(&op, &mut cache).map(|h| (h.node, h.level, h.range.lo));
+                matches!(op, Op::Probe { .. }).then_some(hit)
             })
             .collect()
     };
 
-    let outcomes = |ops: &[Op]| -> Vec<Option<(u32, u8, u64)>> {
-        let mut cache = IxCache::new(s.config());
-        let mut out = Vec::new();
-        for op in ops {
-            match *op {
-                Op::Insert {
-                    index,
-                    node,
-                    lo,
-                    hi,
-                    level,
-                    bytes,
-                    life,
-                } => cache.insert(index, node, KeyRange::new(lo, hi), level, bytes, life),
-                Op::Probe { index, key } => {
-                    out.push(
-                        cache
-                            .probe(index, key)
-                            .map(|h| (h.node, h.level, h.range.lo)),
-                    );
-                }
-                Op::Invalidate {
-                    index,
-                    level,
-                    lo,
-                    hi,
-                } => {
-                    let level = if level == ALL_LEVELS {
-                        None
-                    } else {
-                        Some(level)
-                    };
-                    cache.invalidate_range(index, level, KeyRange::new(lo, hi));
-                }
-                Op::Flush => cache.flush(),
-            }
-        }
-        out
-    };
-
-    let base = outcomes(&s.ops);
-    let shifted = outcomes(&shift(&s.ops));
+    let base = outcomes(0);
+    let shifted = outcomes(delta);
     for (i, (b, t)) in base.iter().zip(&shifted).enumerate() {
         let translated = b.map(|(n, l, lo)| (n, l, lo + delta));
         if translated != *t {
@@ -435,7 +413,7 @@ mod tests {
     #[test]
     fn generated_scenarios_smoke() {
         for seed in 0..40 {
-            let s = gen_scenario(seed, seed % 2 == 0);
+            let s = gen_scenario(seed, seed % 2 == 0, false);
             if let Err(d) = run_scenario(&s) {
                 panic!("seed {seed}: {d}");
             }
@@ -492,9 +470,8 @@ mod tests {
 
     #[test]
     fn generated_crud_scenarios_smoke() {
-        use crate::scenario::gen_scenario_crud;
         for seed in 0..40 {
-            let s = gen_scenario_crud(seed, seed % 2 == 0);
+            let s = gen_scenario(seed, seed % 2 == 0, true);
             if let Err(d) = run_scenario(&s) {
                 panic!("seed {seed}: {d}");
             }

@@ -7,13 +7,14 @@
 //! observe-only), one `walk_end` event per walk, traced per-level hit
 //! counts equal to `RunStats::hit_levels` for the IX designs, and zero
 //! `ix_probe` events from designs that have no IX-cache. Cross-design
-//! invariants (`found_walks` must not depend on the cache organization)
-//! ride along on the same experiment.
+//! invariants (found walks, writes, splits and merges must not depend
+//! on the cache organization) ride along on the same experiment.
 
-use crate::check::Divergence;
+use crate::check::{fail, Divergence};
+use crate::native::{gen_crud_reqs, CaseReq, STRIDE};
 use metal_core::models::{DesignSpec, Experiment};
-use metal_core::request::{OpKind, WalkRequest};
-use metal_core::runner::{run_design, ObsConfig, RunConfig, ShardCtx};
+use metal_core::request::WalkRequest;
+use metal_core::runner::{run_design, ObsConfig, RunConfig, RunReport, ShardCtx};
 use metal_core::IxConfig;
 use metal_index::BPlusTree;
 use metal_obs::MetricsRegistry;
@@ -21,13 +22,6 @@ use metal_sim::obs::shared;
 use metal_sim::rng::SplitRng;
 use metal_sim::types::Addr;
 use std::sync::Arc;
-
-fn fail(op: usize, what: impl Into<String>) -> Result<(), Divergence> {
-    Err(Divergence {
-        op,
-        what: what.into(),
-    })
-}
 
 /// A config whose shards all report into `registry`.
 fn observed(base: RunConfig, registry: &Arc<MetricsRegistry>) -> RunConfig {
@@ -42,12 +36,13 @@ fn observed(base: RunConfig, registry: &Arc<MetricsRegistry>) -> RunConfig {
     })
 }
 
-/// Runs the accounting cross-check for one design over one experiment.
+/// Runs the accounting cross-check for one design over one experiment,
+/// returning the bare run's report.
 pub fn check_design(
     spec: &DesignSpec,
     exp: &Experiment<'_>,
     cfg: &RunConfig,
-) -> Result<(), Divergence> {
+) -> Result<RunReport, Divergence> {
     let bare = run_design(spec, exp, cfg);
     let registry = MetricsRegistry::new();
     let traced = run_design(spec, exp, &observed(cfg.clone(), &registry));
@@ -127,21 +122,54 @@ pub fn check_design(
             ),
         );
     }
-    Ok(())
+    Ok(bare)
 }
 
-/// Generates one small experiment and checks the full design roster on
-/// it, including the cross-design `found_walks` invariant.
-pub fn check_designs_case(seed: u64) -> Result<(), Divergence> {
-    let mut rng = SplitRng::stream(seed, 0xde5170);
+/// One generated design case: a bulk-loaded tree's keys and fanout,
+/// the request stream and the IX-cache geometry.
+#[derive(Debug)]
+pub(crate) struct DesignCase {
+    keys: Vec<u64>,
+    max_keys: usize,
+    requests: Vec<WalkRequest>,
+    entries: usize,
+    key_block_bits: u32,
+}
+
+/// Draws one design case. The read-only swarm spaces keys by a random
+/// stride and mixes hot, drifting, present and uniform lookups; the
+/// `mutate` swarm holds even keys only and draws the native swarm's
+/// CRUD mix ([`gen_crud_reqs`]), so every fresh insert forces leaf
+/// splits as the run proceeds.
+pub(crate) fn gen_design_case(seed: u64, mutate: bool) -> DesignCase {
+    let mut rng = SplitRng::stream(seed, if mutate { 0xc40d_de51 } else { 0xde5170 });
     let n_keys = rng.gen_range(40..400u64) as usize;
-    let stride = rng.gen_range(1..9u64);
+    let stride = if mutate {
+        STRIDE
+    } else {
+        rng.gen_range(1..9u64)
+    };
     let keys: Vec<u64> = (0..n_keys as u64).map(|i| i * stride).collect();
     let max_keys = *crate::scenario::pick(&mut rng, &[4, 8, 16]);
-    let tree = BPlusTree::bulk_load(&keys, max_keys, Addr(0x4000_0000), 16);
+    let requests = if mutate {
+        let reqs = gen_crud_reqs(&mut rng, n_keys);
+        reqs.iter().map(CaseReq::walk).collect()
+    } else {
+        gen_read_requests(&mut rng, &keys, stride)
+    };
+    DesignCase {
+        keys,
+        max_keys,
+        requests,
+        entries: *crate::scenario::pick(&mut rng, &[16, 64, 256]),
+        key_block_bits: rng.gen_range(2..8u64) as u32,
+    }
+}
 
+/// The read-only swarm's request stream over `keys` (spaced `stride`).
+fn gen_read_requests(rng: &mut SplitRng, keys: &[u64], stride: u64) -> Vec<WalkRequest> {
     let n_reqs = rng.gen_range(30..200u64) as usize;
-    let span = n_keys as u64 * stride;
+    let span = keys.len() as u64 * stride;
     let mut requests = Vec::with_capacity(n_reqs);
     let mut hot = 0u64;
     for _ in 0..n_reqs {
@@ -164,127 +192,53 @@ pub fn check_designs_case(seed: u64) -> Result<(), Divergence> {
         }
         requests.push(req);
     }
-    let exp = Experiment::single(&tree, &requests);
-
-    let entries = *crate::scenario::pick(&mut rng, &[16, 64, 256]);
-    let ix = IxConfig {
-        entries,
-        ways: 16.min(entries),
-        key_block_bits: rng.gen_range(2..8u64) as u32,
-        wide_fraction: 0.5,
-    };
-    let specs = [
-        DesignSpec::Stream,
-        DesignSpec::Address {
-            entries,
-            ways: 16.min(entries),
-        },
-        DesignSpec::FaOpt { entries },
-        DesignSpec::XCache {
-            entries,
-            ways: 16.min(entries),
-        },
-        DesignSpec::MetalIx { ix },
-    ];
-    let cfg = RunConfig::default().with_lanes(4);
-
-    let mut found = Vec::new();
-    for spec in &specs {
-        check_design(spec, &exp, &cfg)?;
-        found.push(run_design(spec, &exp, &cfg).stats.found_walks);
-    }
-    if found.iter().any(|&f| f != found[0]) {
-        return fail(
-            0,
-            format!(
-                "found_walks differs across designs: {found:?} (cache must not change results)"
-            ),
-        );
-    }
-    Ok(())
+    requests
 }
 
-/// The mutating variant of [`check_designs_case`]: the request stream
-/// interleaves INSERT/UPDATE/DELETE walks with lookups and scans, so a
-/// stale short-circuit in any cached design changes its `found_walks`
-/// (or structural counters) relative to the cache-less Stream ground
-/// truth. The tree holds even keys only, so `present + 1` is always a
-/// genuinely fresh insert that forces leaf splits as the run proceeds.
-pub fn check_designs_case_crud(seed: u64) -> Result<(), Divergence> {
-    let mut rng = SplitRng::stream(seed, 0xc40d_de51);
-    let n_keys = rng.gen_range(40..400u64) as usize;
-    let stride = 2u64;
-    let keys: Vec<u64> = (0..n_keys as u64).map(|i| i * stride).collect();
-    let max_keys = *crate::scenario::pick(&mut rng, &[4, 8, 16]);
-    let tree = BPlusTree::bulk_load(&keys, max_keys, Addr(0x4000_0000), 16);
-
-    let n_reqs = rng.gen_range(30..200u64) as usize;
-    let span = n_keys as u64 * stride;
-    let mut requests = Vec::with_capacity(n_reqs);
-    for _ in 0..n_reqs {
-        let present = keys[rng.gen_range(0..keys.len())];
-        let req = match rng.gen_range(0..10u64) {
-            0 | 1 => WalkRequest::lookup(present + 1).with_op(OpKind::Insert),
-            2 => WalkRequest::lookup(present).with_op(OpKind::Delete),
-            3 => WalkRequest::lookup(present).with_op(OpKind::Update),
-            _ => {
-                let key = rng.gen_range(0..span.max(1) + stride);
-                let mut r = WalkRequest::lookup(key);
-                if rng.gen_range(0..4u64) == 0 {
-                    r = r.with_scan(rng.gen_range(1..4u64) as u32);
-                }
-                r
-            }
-        };
-        requests.push(req);
-    }
-    let exp = Experiment::single(&tree, &requests);
-
-    let entries = *crate::scenario::pick(&mut rng, &[16, 64, 256]);
+/// Generates one small experiment and checks the full design roster on
+/// it. Results and tree evolution must be design-independent: every
+/// model replays the same writes on its private tree, so found counts
+/// and structural mutation counters have to agree with the cache-less
+/// Stream ground truth — a stale short-circuit in any cached design
+/// changes them.
+pub fn check_designs_case(seed: u64, mutate: bool) -> Result<(), Divergence> {
+    let case = gen_design_case(seed, mutate);
+    let tree = BPlusTree::bulk_load(&case.keys, case.max_keys, Addr(0x4000_0000), 16);
+    let exp = Experiment::single(&tree, &case.requests);
+    let (entries, ways) = (case.entries, 16.min(case.entries));
     let ix = IxConfig {
         entries,
-        ways: 16.min(entries),
-        key_block_bits: rng.gen_range(2..8u64) as u32,
+        ways,
+        key_block_bits: case.key_block_bits,
         wide_fraction: 0.5,
     };
     let specs = [
         DesignSpec::Stream,
-        DesignSpec::Address {
-            entries,
-            ways: 16.min(entries),
-        },
+        DesignSpec::Address { entries, ways },
         DesignSpec::FaOpt { entries },
-        DesignSpec::XCache {
-            entries,
-            ways: 16.min(entries),
-        },
+        DesignSpec::XCache { entries, ways },
         DesignSpec::MetalIx { ix },
     ];
     let cfg = RunConfig::default().with_lanes(4);
 
-    // Results and tree evolution must be design-independent: every
-    // model replays the same writes on its private tree, so found
-    // counts and structural mutation counters have to agree with the
-    // cache-less ground truth.
     let mut outcomes = Vec::new();
     for spec in &specs {
-        check_design(spec, &exp, &cfg)?;
-        let st = run_design(spec, &exp, &cfg).stats;
+        let st = check_design(spec, &exp, &cfg)?.stats;
         outcomes.push((
             spec.label(),
-            st.found_walks,
-            st.write_walks,
-            st.node_splits,
-            st.node_merges,
+            [
+                st.found_walks,
+                st.write_walks,
+                st.node_splits,
+                st.node_merges,
+            ],
         ));
     }
-    if outcomes.iter().any(|o| {
-        (o.1, o.2, o.3, o.4) != (outcomes[0].1, outcomes[0].2, outcomes[0].3, outcomes[0].4)
-    }) {
+    if outcomes.iter().any(|o| o.1 != outcomes[0].1) {
         return fail(
             0,
             format!(
-                "mutated run diverges across designs (label, found, writes, splits, merges): \
+                "run diverges across designs (label, [found, writes, splits, merges]): \
                  {outcomes:?} (a stale cached short-circuit changes results)"
             ),
         );
@@ -299,7 +253,7 @@ mod tests {
     #[test]
     fn design_cases_pass() {
         for seed in 0..6 {
-            if let Err(d) = check_designs_case(seed) {
+            if let Err(d) = check_designs_case(seed, false) {
                 panic!("seed {seed}: {d}");
             }
         }
@@ -308,7 +262,7 @@ mod tests {
     #[test]
     fn design_crud_cases_pass() {
         for seed in 0..6 {
-            if let Err(d) = check_designs_case_crud(seed) {
+            if let Err(d) = check_designs_case(seed, true) {
                 panic!("seed {seed}: {d}");
             }
         }
@@ -323,7 +277,7 @@ mod tests {
         // span was emitted at level 1 only — so a level-0 tag spanning
         // the old boundary kept serving a stale short-circuit. Fixed by
         // staling structural ops at every level 0..=L.
-        if let Err(d) = check_designs_case_crud(9117530005772300191) {
+        if let Err(d) = check_designs_case(9117530005772300191, true) {
             panic!("{d}");
         }
     }

@@ -13,11 +13,12 @@
 //! of the two executors applied the cache protocol or the B+tree write
 //! path differently, which the permanent equivalence gate must catch.
 //!
-//! A failing case is ddmin-shrunk ([`shrink_native_case`]) to a minimal
+//! A failing case is ddmin-shrunk ([`crate::shrink::shrink`]) to a minimal
 //! request list and banked in the corpus as `kind: "native"` JSON;
 //! `tests/corpus_replay.rs` replays it forever after.
 
-use crate::check::Divergence;
+use crate::check::{fail, Divergence};
+use crate::shrink::Case;
 use metal_core::descriptor::{Descriptor, NodeDescriptor};
 use metal_core::models::{DesignSpec, Experiment};
 use metal_core::request::{OpKind, WalkRequest};
@@ -29,8 +30,8 @@ use metal_sim::rng::SplitRng;
 use metal_sim::types::Addr;
 
 /// Tree keys are even (`i * 2`), so `present + 1` is always a genuinely
-/// fresh insert — same convention as the CRUD design swarm.
-const STRIDE: u64 = 2;
+/// fresh insert.
+pub(crate) const STRIDE: u64 = 2;
 
 /// One request of a native case: a CRUD op against the case's tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,47 +71,52 @@ pub struct NativeCase {
     pub reqs: Vec<CaseReq>,
 }
 
-/// Generates one native differential case (same swarm shape as the CRUD
-/// design cases, under a distinct RNG salt).
+impl CaseReq {
+    /// The walk this request runs.
+    pub(crate) fn walk(&self) -> WalkRequest {
+        WalkRequest::lookup(self.key)
+            .with_op(self.op)
+            .with_scan(self.scan)
+    }
+}
+
+/// Draws a CRUD request stream over the keys `0, 2, .., (n_keys-1)*2`:
+/// a fifth fresh inserts, a tenth each deletes and updates of present
+/// keys, the rest uniform (possibly absent) lookups, a quarter of them
+/// scans. The native swarm and the CRUD design swarm both draw from it,
+/// each under its own salt.
+pub(crate) fn gen_crud_reqs(rng: &mut SplitRng, n_keys: usize) -> Vec<CaseReq> {
+    let n_reqs = rng.gen_range(30..200u64) as usize;
+    let span = n_keys as u64 * STRIDE;
+    let mut reqs = Vec::with_capacity(n_reqs);
+    for _ in 0..n_reqs {
+        let present = rng.gen_range(0..n_keys as u64) * STRIDE;
+        let (op, key, scan) = match rng.gen_range(0..10u64) {
+            0 | 1 => (OpKind::Insert, present + 1, 0),
+            2 => (OpKind::Delete, present, 0),
+            3 => (OpKind::Update, present, 0),
+            _ => {
+                let key = rng.gen_range(0..span.max(1) + STRIDE);
+                let scan = if rng.gen_range(0..4u64) == 0 {
+                    rng.gen_range(1..4u64) as u32
+                } else {
+                    0
+                };
+                (OpKind::Select, key, scan)
+            }
+        };
+        reqs.push(CaseReq { op, key, scan });
+    }
+    reqs
+}
+
+/// Generates one native differential case (the CRUD design swarm's
+/// shape, under a distinct RNG salt).
 pub fn gen_native_case(seed: u64) -> NativeCase {
     let mut rng = SplitRng::stream(seed, 0x9a71_7e5d);
     let n_keys = rng.gen_range(40..400u64) as usize;
     let max_keys = *crate::scenario::pick(&mut rng, &[4, 8, 16]);
-    let n_reqs = rng.gen_range(30..200u64) as usize;
-    let span = n_keys as u64 * STRIDE;
-
-    let mut reqs = Vec::with_capacity(n_reqs);
-    for _ in 0..n_reqs {
-        let present = rng.gen_range(0..n_keys as u64) * STRIDE;
-        let req = match rng.gen_range(0..10u64) {
-            0 | 1 => CaseReq {
-                op: OpKind::Insert,
-                key: present + 1,
-                scan: 0,
-            },
-            2 => CaseReq {
-                op: OpKind::Delete,
-                key: present,
-                scan: 0,
-            },
-            3 => CaseReq {
-                op: OpKind::Update,
-                key: present,
-                scan: 0,
-            },
-            _ => CaseReq {
-                op: OpKind::Select,
-                key: rng.gen_range(0..span.max(1) + STRIDE),
-                scan: if rng.gen_range(0..4u64) == 0 {
-                    rng.gen_range(1..4u64) as u32
-                } else {
-                    0
-                },
-            },
-        };
-        reqs.push(req);
-    }
-
+    let reqs = gen_crud_reqs(&mut rng, n_keys);
     let entries = *crate::scenario::pick(&mut rng, &[16, 64, 256]);
     NativeCase {
         seed,
@@ -122,16 +128,6 @@ pub fn gen_native_case(seed: u64) -> NativeCase {
         mlp_width: *crate::scenario::pick(&mut rng, &[1usize, 2, 4, 8]),
         reqs,
     }
-}
-
-fn diff_u64(label: &str, field: &str, s: u64, n: u64) -> Result<(), Divergence> {
-    if s != n {
-        return Err(Divergence {
-            op: 0,
-            what: format!("{label}: {field} sim={s} native={n}"),
-        });
-    }
-    Ok(())
 }
 
 /// Every semantic outcome the two backends must agree on, compared
@@ -160,40 +156,42 @@ pub fn diff_reports(label: &str, sim: &RunReport, native: &RunReport) -> Result<
         ),
         ("dram_node_reads", s.dram_node_reads, n.dram_node_reads),
     ] {
-        diff_u64(label, field, sv, nv)?;
+        if sv != nv {
+            return fail(0, format!("{label}: {field} sim={sv} native={nv}"));
+        }
     }
     if s.hit_levels != n.hit_levels {
-        return Err(Divergence {
-            op: 0,
-            what: format!(
+        return fail(
+            0,
+            format!(
                 "{label}: hit_levels sim={:?} native={:?}",
                 s.hit_levels, n.hit_levels
             ),
-        });
+        );
     }
     if sim.occupancy_by_level != native.occupancy_by_level {
-        return Err(Divergence {
-            op: 0,
-            what: format!(
+        return fail(
+            0,
+            format!(
                 "{label}: final occupancy sim={:?} native={:?}",
                 sim.occupancy_by_level, native.occupancy_by_level
             ),
-        });
+        );
     }
     if sim.band_history != native.band_history {
-        return Err(Divergence {
-            op: 0,
-            what: format!(
+        return fail(
+            0,
+            format!(
                 "{label}: tuner band history sim={:?} native={:?}",
                 sim.band_history, native.band_history
             ),
-        });
+        );
     }
     if native.native.is_none() {
-        return Err(Divergence {
-            op: 0,
-            what: format!("{label}: native run reported no measured metrics"),
-        });
+        return fail(
+            0,
+            format!("{label}: native run reported no measured metrics"),
+        );
     }
     Ok(())
 }
@@ -203,17 +201,7 @@ pub fn diff_reports(label: &str, sim: &RunReport, native: &RunReport) -> Result<
 pub fn check_native_case(case: &NativeCase) -> Result<(), Divergence> {
     let keys: Vec<u64> = (0..case.n_keys as u64).map(|i| i * STRIDE).collect();
     let tree = BPlusTree::bulk_load(&keys, case.max_keys, Addr(0x4000_0000), 16);
-    let requests: Vec<WalkRequest> = case
-        .reqs
-        .iter()
-        .map(|r| {
-            let mut w = WalkRequest::lookup(r.key).with_op(r.op);
-            if r.scan > 0 {
-                w = w.with_scan(r.scan);
-            }
-            w
-        })
-        .collect();
+    let requests: Vec<WalkRequest> = case.reqs.iter().map(CaseReq::walk).collect();
     let exp = Experiment::single(&tree, &requests);
 
     let ix = IxConfig {
@@ -243,96 +231,46 @@ pub fn check_native_case(case: &NativeCase) -> Result<(), Divergence> {
     Ok(())
 }
 
-/// Returns the smallest still-failing case `fails` accepts, starting
-/// from `case` (which must fail): ddmin over the request list, then a
-/// bounded value-simplification pass (drop scans, halve keys, demote
-/// writes to lookups, shrink geometry).
-pub fn shrink_native_case<F>(case: &NativeCase, fails: F) -> NativeCase
-where
-    F: Fn(&NativeCase) -> bool,
-{
-    debug_assert!(fails(case), "shrink needs a failing input");
-    let mut best = case.clone();
+impl Case for NativeCase {
+    type Item = CaseReq;
+    const KIND: &'static str = "native";
+    const ITEMS: &'static str = "reqs";
+    const MOVES: &'static [fn(&mut Self)] = &[
+        |c| c.entries = (c.entries / 2).max(2),
+        |c| c.key_block_bits = (c.key_block_bits / 2).max(1),
+        |c| c.n_keys = (c.n_keys / 2).max(4),
+        |c| c.max_keys = 4,
+        |c| c.mlp_width = 1,
+    ];
 
-    // Pass 1: ddmin over requests — remove chunks, halving granularity.
-    let mut chunk = best.reqs.len().div_ceil(2).max(1);
-    while chunk >= 1 {
-        let mut removed_any = false;
-        let mut start = 0;
-        while start < best.reqs.len() {
-            let mut candidate = best.clone();
-            let end = (start + chunk).min(candidate.reqs.len());
-            candidate.reqs.drain(start..end);
-            if !candidate.reqs.is_empty() && fails(&candidate) {
-                best = candidate;
-                removed_any = true;
-                // Same `start` now points at fresh requests.
-            } else {
-                start += chunk;
-            }
-        }
-        if chunk == 1 && !removed_any {
-            break;
-        }
-        if !removed_any {
-            chunk /= 2;
-        }
+    fn items(&self) -> &[CaseReq] {
+        &self.reqs
     }
 
-    // Pass 2: value simplification, to fixpoint (bounded).
-    for _ in 0..8 {
-        let mut progressed = false;
-
-        for f in [
-            (|c: &mut NativeCase| c.entries = (c.entries / 2).max(2)) as fn(&mut NativeCase),
-            |c| c.key_block_bits = (c.key_block_bits / 2).max(1),
-            |c| c.n_keys = (c.n_keys / 2).max(4),
-            |c| c.max_keys = 4,
-            |c| c.mlp_width = 1,
-        ] {
-            let mut candidate = best.clone();
-            f(&mut candidate);
-            if candidate != best && fails(&candidate) {
-                best = candidate;
-                progressed = true;
-            }
-        }
-
-        for i in 0..best.reqs.len() {
-            let r = best.reqs[i];
-            let variants = [
-                CaseReq { scan: 0, ..r },
-                CaseReq {
-                    key: r.key / 2,
-                    ..r
-                },
-                CaseReq {
-                    op: OpKind::Select,
-                    ..r
-                },
-            ];
-            for v in variants {
-                if v == best.reqs[i] {
-                    continue;
-                }
-                let mut candidate = best.clone();
-                candidate.reqs[i] = v;
-                if fails(&candidate) {
-                    best = candidate;
-                    progressed = true;
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
+    fn items_mut(&mut self) -> &mut Vec<CaseReq> {
+        &mut self.reqs
     }
-    best
-}
 
-impl NativeCase {
-    /// Serializes to the corpus JSON schema (`kind: "native"`).
-    pub fn to_json(&self) -> Json {
+    /// Drop the scan, halve the key, demote a write to a lookup.
+    fn simpler(r: &CaseReq) -> Vec<CaseReq> {
+        vec![
+            CaseReq { scan: 0, ..*r },
+            CaseReq {
+                key: r.key / 2,
+                ..*r
+            },
+            CaseReq {
+                op: OpKind::Select,
+                ..*r
+            },
+        ]
+    }
+
+    fn check(&self) -> Result<(), Divergence> {
+        check_native_case(self)
+    }
+
+    fn to_json(&self) -> Json {
         let reqs = self
             .reqs
             .iter()
@@ -345,7 +283,7 @@ impl NativeCase {
             })
             .collect();
         Json::Obj(vec![
-            ("kind".into(), Json::str("native")),
+            ("kind".into(), Json::str(Self::KIND)),
             ("seed".into(), Json::UInt(self.seed)),
             ("n_keys".into(), Json::UInt(self.n_keys as u64)),
             ("max_keys".into(), Json::UInt(self.max_keys as u64)),
@@ -356,20 +294,17 @@ impl NativeCase {
             ),
             ("batch_walks".into(), Json::UInt(self.batch_walks)),
             ("mlp_width".into(), Json::UInt(self.mlp_width as u64)),
-            ("reqs".into(), Json::Arr(reqs)),
+            (Self::ITEMS.into(), Json::Arr(reqs)),
         ])
     }
 
-    /// Parses the corpus JSON schema. Returns `None` on any shape
-    /// mismatch (corpus files are hand-editable; a replay must fail
-    /// loudly rather than silently skip a malformed repro).
-    pub fn from_json(j: &Json) -> Option<NativeCase> {
-        if j.get("kind")?.as_str()? != "native" {
+    fn from_json(j: &Json) -> Option<NativeCase> {
+        if j.get("kind")?.as_str()? != Self::KIND {
             return None;
         }
         let u = |k: &str| j.get(k).and_then(Json::as_u64);
         let mut reqs = Vec::new();
-        for r in j.get("reqs")?.as_arr()? {
+        for r in j.get(Self::ITEMS)?.as_arr()? {
             let op = match r.get("op")?.as_str()? {
                 "select" => OpKind::Select,
                 "insert" => OpKind::Insert,
@@ -400,6 +335,7 @@ impl NativeCase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shrink::shrink;
 
     #[test]
     fn native_cases_pass() {
@@ -434,7 +370,7 @@ mod tests {
 
     #[test]
     fn foreign_kind_is_rejected() {
-        let ix = crate::scenario::gen_scenario(1, false).to_json();
+        let ix = crate::scenario::gen_scenario(1, false, false).to_json();
         assert_eq!(NativeCase::from_json(&ix), None);
     }
 
@@ -448,7 +384,7 @@ mod tests {
             if !fails(&case) {
                 continue;
             }
-            let small = shrink_native_case(&case, fails);
+            let small = shrink(&case, fails);
             assert_eq!(small.reqs.len(), 1, "seed {seed}: {:?}", small.reqs);
             assert!(fails(&small));
             return; // one generated witness is enough

@@ -8,6 +8,7 @@
 //! `OptCache`'s misses (Belady is optimal, so OPT below LRU is a hard
 //! oracle, as is capacity monotonicity).
 
+use crate::check::{fail, Divergence};
 use metal_sim::caches::{AddressCache, KeyCache, OptCache};
 use metal_sim::rng::SplitRng;
 use metal_sim::types::BlockAddr;
@@ -35,24 +36,10 @@ impl RefSetLru {
 
     /// Probe-with-allocate-on-miss (the address cache's `access`).
     pub fn access(&mut self, tag: u64) -> bool {
-        self.tick += 1;
-        let n_sets = self.sets.len();
-        let set = &mut self.sets[(tag as usize) % n_sets];
-        if let Some(line) = set.iter_mut().find(|(t, _)| *t == tag) {
-            line.1 = self.tick;
-            return true;
+        self.probe(tag) || {
+            self.insert(tag);
+            false
         }
-        if set.len() >= self.ways {
-            let victim = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(i, _)| i)
-                .unwrap();
-            set.remove(victim);
-        }
-        set.push((tag, self.tick));
-        false
     }
 
     /// Probe without allocation (the X-Cache's `probe`).
@@ -91,23 +78,13 @@ impl RefSetLru {
     }
 }
 
-/// A failed baseline check: which access diverged and how.
-pub type TraceDivergence = crate::check::Divergence;
-
-fn fail(op: usize, what: impl Into<String>) -> Result<(), TraceDivergence> {
-    Err(TraceDivergence {
-        op,
-        what: what.into(),
-    })
-}
-
 /// Differential: `AddressCache` vs the reference set-LRU, access by
 /// access, plus final counter coherence.
 pub fn check_address_differential(
     trace: &[u64],
     entries: usize,
     ways: usize,
-) -> Result<(), TraceDivergence> {
+) -> Result<(), Divergence> {
     let mut real = AddressCache::new(entries, ways);
     let mut reference = RefSetLru::new(entries, ways);
     let mut misses = 0u64;
@@ -143,7 +120,7 @@ pub fn check_keycache_differential(
     keys: &[u64],
     entries: usize,
     ways: usize,
-) -> Result<(), TraceDivergence> {
+) -> Result<(), Divergence> {
     let mut real = KeyCache::new(entries, ways);
     let mut reference = RefSetLru::new(entries, ways);
     for (i, &k) in keys.iter().enumerate() {
@@ -171,7 +148,7 @@ pub fn check_keycache_differential(
 ///   each;
 /// - the per-access hit vector is trace-aligned and consistent with the
 ///   miss count.
-pub fn check_opt_sanity(trace: &[u64], entries: usize) -> Result<(), TraceDivergence> {
+pub fn check_opt_sanity(trace: &[u64], entries: usize) -> Result<(), Divergence> {
     let blocks: Vec<BlockAddr> = trace.iter().map(|&b| BlockAddr::new(b)).collect();
     let opt = OptCache::new(entries).simulate(&blocks);
     if opt.hits.len() != trace.len() {
@@ -231,7 +208,7 @@ pub fn check_opt_sanity(trace: &[u64], entries: usize) -> Result<(), TraceDiverg
 }
 
 /// Generates one baseline trace case and runs all three checks.
-pub fn check_baselines_case(seed: u64) -> Result<(), TraceDivergence> {
+pub fn check_baselines_case(seed: u64) -> Result<(), Divergence> {
     let mut rng = SplitRng::stream(seed, 0xba5e11);
     let ways = *crate::scenario::pick(&mut rng, &[1, 2, 4, 16]);
     let sets = *crate::scenario::pick(&mut rng, &[1, 2, 8, 64]);

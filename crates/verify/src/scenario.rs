@@ -9,6 +9,8 @@
 //! top of the `u64` range), geometry (entries/ways/key-block
 //! bits/wide fraction) and op mix (inserts, probes, flushes, pins).
 
+use crate::check::{check_translation, run_scenario, Divergence};
+use crate::shrink::Case;
 use metal_core::IxConfig;
 use metal_obs::Json;
 use metal_sim::rng::SplitRng;
@@ -92,8 +94,98 @@ impl Scenario {
         }
     }
 
-    /// Serializes to the corpus JSON schema (`kind: "ix"`).
-    pub fn to_json(&self) -> Json {
+    /// Physical entries an insert sequence can create, at most: each
+    /// insert op makes `min(ceil(bytes/64), width)` entries (the
+    /// degenerate split caps at one key per entry). Used to size ample
+    /// scenarios so no eviction is possible.
+    pub fn max_physical_entries(ops: &[Op]) -> usize {
+        ops.iter()
+            .map(|op| match *op {
+                Op::Insert { lo, hi, bytes, .. } => {
+                    let blocks = bytes.max(1).div_ceil(64);
+                    let width = (hi - lo).saturating_add(1);
+                    blocks.min(width) as usize
+                }
+                _ => 0,
+            })
+            .sum()
+    }
+}
+
+impl Case for Scenario {
+    type Item = Op;
+    const KIND: &'static str = "ix";
+    const ITEMS: &'static str = "ops";
+    const MOVES: &'static [fn(&mut Self)] = &[
+        |c| c.entries /= 2,
+        |c| c.ways = 1,
+        |c| c.ways = c.entries,
+        |c| c.key_block_bits /= 2,
+        |c| c.wide_pct = 0,
+    ];
+
+    fn items(&self) -> &[Op] {
+        &self.ops
+    }
+
+    fn items_mut(&mut self) -> &mut Vec<Op> {
+        &mut self.ops
+    }
+
+    /// One field edit at a time, numbered per variant in the order
+    /// they are tried.
+    fn simpler(op: &Op) -> Vec<Op> {
+        (0..)
+            .map_while(|edit| {
+                let mut o = *op;
+                match (&mut o, edit) {
+                    (Op::Insert { bytes, .. }, 0) => *bytes = 64,
+                    (Op::Insert { life, .. }, 1) => *life = 0,
+                    (Op::Insert { level, .. }, 2) => *level = 0,
+                    (Op::Insert { node, .. }, 3) => *node = 1,
+                    (Op::Insert { index, .. }, 4) => *index = 0,
+                    (Op::Insert { lo, hi, .. }, 5) => *hi = *lo,
+                    (Op::Insert { lo, hi, .. }, 6) => *lo = *hi,
+                    (Op::Insert { lo, hi, .. }, 7) => (*lo, *hi) = (*lo / 2, *hi / 2),
+                    (Op::Probe { index, .. }, 0) => *index = 0,
+                    (Op::Probe { key, .. }, 1) => *key /= 2,
+                    (Op::Probe { key, .. }, 2) => *key = 0,
+                    (Op::Invalidate { index, .. }, 0) => *index = 0,
+                    (Op::Invalidate { level, .. }, 1) => *level = ALL_LEVELS,
+                    (Op::Invalidate { lo, hi, .. }, 2) => *hi = *lo,
+                    (Op::Invalidate { lo, hi, .. }, 3) => (*lo, *hi) = (*lo / 2, *hi / 2),
+                    _ => return None,
+                }
+                Some(o)
+            })
+            .collect()
+    }
+
+    /// `ample` scenarios promise "no eviction is possible", so after
+    /// any edit their geometry is resized back to the single-set,
+    /// above-worst-case shape. Tight candidates only need basic sanity.
+    fn normalize(&mut self) {
+        if self.ample {
+            self.entries = Scenario::max_physical_entries(&self.ops) + 2;
+            self.ways = self.entries;
+        } else {
+            self.entries = self.entries.max(2);
+            self.ways = self.ways.clamp(1, self.entries);
+        }
+    }
+
+    /// [`run_scenario`], plus translation invariance for ample cases.
+    fn check(&self) -> Result<(), Divergence> {
+        run_scenario(self)?;
+        if self.ample {
+            for delta in [1, 1 << 20, u64::MAX / 2] {
+                check_translation(self, delta)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn to_json(&self) -> Json {
         let ops = self
             .ops
             .iter()
@@ -137,7 +229,7 @@ impl Scenario {
             })
             .collect();
         Json::Obj(vec![
-            ("kind".into(), Json::str("ix")),
+            ("kind".into(), Json::str(Self::KIND)),
             ("seed".into(), Json::UInt(self.seed)),
             ("entries".into(), Json::UInt(self.entries as u64)),
             ("ways".into(), Json::UInt(self.ways as u64)),
@@ -147,20 +239,17 @@ impl Scenario {
             ),
             ("wide_pct".into(), Json::UInt(self.wide_pct as u64)),
             ("ample".into(), Json::Bool(self.ample)),
-            ("ops".into(), Json::Arr(ops)),
+            (Self::ITEMS.into(), Json::Arr(ops)),
         ])
     }
 
-    /// Parses the corpus JSON schema. Returns `None` on any shape
-    /// mismatch (corpus files are hand-editable; a replay must fail
-    /// loudly rather than silently skip a malformed repro).
-    pub fn from_json(j: &Json) -> Option<Scenario> {
-        if j.get("kind")?.as_str()? != "ix" {
+    fn from_json(j: &Json) -> Option<Scenario> {
+        if j.get("kind")?.as_str()? != Self::KIND {
             return None;
         }
         let u = |k: &str| j.get(k).and_then(Json::as_u64);
         let mut ops = Vec::new();
-        for op in j.get("ops")?.as_arr()? {
+        for op in j.get(Self::ITEMS)?.as_arr()? {
             let f = |k: &str| op.get(k).and_then(Json::as_u64);
             ops.push(match op.get("op")?.as_str()? {
                 "insert" => Op::Insert {
@@ -195,23 +284,6 @@ impl Scenario {
             ample: j.get("ample")?.as_bool()?,
             ops,
         })
-    }
-
-    /// Physical entries an insert sequence can create, at most: each
-    /// insert op makes `min(ceil(bytes/64), width)` entries (the
-    /// degenerate split caps at one key per entry). Used to size ample
-    /// scenarios so no eviction is possible.
-    pub fn max_physical_entries(ops: &[Op]) -> usize {
-        ops.iter()
-            .map(|op| match *op {
-                Op::Insert { lo, hi, bytes, .. } => {
-                    let blocks = bytes.max(1).div_ceil(64);
-                    let width = (hi - lo).saturating_add(1);
-                    blocks.min(width) as usize
-                }
-                _ => 0,
-            })
-            .sum()
     }
 }
 
@@ -274,81 +346,22 @@ pub(crate) fn pick<'a, T>(rng: &mut SplitRng, xs: &'a [T]) -> &'a T {
 /// arms the history-oracle retention and translation-invariance
 /// checks; tight scenarios use small geometries and pins to stress
 /// eviction, erosion and bypass paths.
-pub fn gen_scenario(seed: u64, ample: bool) -> Scenario {
-    let mut rng = SplitRng::stream(seed, 0x5ce7a210);
-    let near_max = rng.gen_range(0..8u64) == 0;
-    let shape = gen_shape(&mut rng, near_max);
-    let n_ops = rng.gen_range(10..160u64) as usize;
-    let indexes = rng.gen_range(1..=2u64) as u8;
-
-    let mut ops = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        let roll = rng.gen_range(0..100u64);
-        if roll < 40 {
-            let &(level, lo, hi, node, bytes) = pick(&mut rng, &shape.nodes);
-            let life = if ample {
-                0
-            } else {
-                *pick(&mut rng, &[0, 0, 0, 0, 1, 2, 3, 8, 20])
-            };
-            ops.push(Op::Insert {
-                index: rng.gen_range(0..indexes as u64) as u8,
-                node,
-                lo,
-                hi,
-                level,
-                bytes,
-                life,
-            });
-        } else if roll < 97 || ample {
-            // Probe keys: uniform in span, node boundaries, or outside.
-            let key = match rng.gen_range(0..6u64) {
-                0 => {
-                    let &(_, lo, hi, _, _) = pick(&mut rng, &shape.nodes);
-                    if rng.gen_range(0..2u64) == 0 {
-                        lo
-                    } else {
-                        hi
-                    }
-                }
-                1 => shape.base.wrapping_sub(rng.gen_range(1..50u64)),
-                _ => shape.base + rng.gen_range(0..=shape.span),
-            };
-            ops.push(Op::Probe {
-                index: rng.gen_range(0..indexes as u64) as u8,
-                key,
-            });
-        } else {
-            ops.push(Op::Flush);
-        }
-    }
-
-    let (entries, ways) = if ample {
-        let entries = Scenario::max_physical_entries(&ops) + 2;
-        (entries, entries)
+///
+/// `mutate` draws from the CRUD swarm instead: a slice of the op
+/// budget becomes [`Op::Invalidate`] — node-span invalidations (what a
+/// split/merge at that node would force), random sub-ranges (partial
+/// kills of coalesced packs) and occasional all-level wipes (subtree
+/// rebalances). Each swarm has its own stream constant, so neither
+/// replays the other's cases and each corpus stays byte-stable.
+pub fn gen_scenario(seed: u64, ample: bool, mutate: bool) -> Scenario {
+    // Roll thresholds: inserts below the first, invalidations below the
+    // second (an empty band for the read-only swarm), then probes.
+    let (salt, inserts, invalidates) = if mutate {
+        (0xc2d0_51ab, 35, 50)
     } else {
-        let ways = rng.gen_range(1..=8u64) as usize;
-        (rng.gen_range(2..40u64) as usize, ways)
+        (0x5ce7a210, 40, 40)
     };
-    Scenario {
-        seed,
-        entries,
-        ways,
-        key_block_bits: rng.gen_range(0..16u64) as u32,
-        wide_pct: *pick(&mut rng, &[0, 25, 50, 75, 100]),
-        ample,
-        ops,
-    }
-}
-
-/// Generates one *mutating* IX scenario: like [`gen_scenario`] but a
-/// slice of the op budget becomes [`Op::Invalidate`] — node-span
-/// invalidations (what a split/merge at that node would force),
-/// random sub-ranges (partial kills of coalesced packs) and
-/// occasional all-level wipes (subtree rebalances). Uses its own
-/// stream constant so [`gen_scenario`]'s corpus stays byte-stable.
-pub fn gen_scenario_crud(seed: u64, ample: bool) -> Scenario {
-    let mut rng = SplitRng::stream(seed, 0xc2d0_51ab);
+    let mut rng = SplitRng::stream(seed, salt);
     let near_max = rng.gen_range(0..8u64) == 0;
     let shape = gen_shape(&mut rng, near_max);
     let n_ops = rng.gen_range(10..160u64) as usize;
@@ -357,7 +370,7 @@ pub fn gen_scenario_crud(seed: u64, ample: bool) -> Scenario {
     let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
         let roll = rng.gen_range(0..100u64);
-        if roll < 35 {
+        if roll < inserts {
             let &(level, lo, hi, node, bytes) = pick(&mut rng, &shape.nodes);
             let life = if ample {
                 0
@@ -373,7 +386,7 @@ pub fn gen_scenario_crud(seed: u64, ample: bool) -> Scenario {
                 bytes,
                 life,
             });
-        } else if roll < 50 {
+        } else if roll < invalidates {
             let &(level, lo, hi, _, _) = pick(&mut rng, &shape.nodes);
             let (level, lo, hi) = match rng.gen_range(0..4u64) {
                 // A subtree rebalance stales every level over the span.
@@ -395,6 +408,7 @@ pub fn gen_scenario_crud(seed: u64, ample: bool) -> Scenario {
                 hi: hi.max(lo),
             });
         } else if roll < 97 || ample {
+            // Probe keys: uniform in span, node boundaries, or outside.
             let key = match rng.gen_range(0..6u64) {
                 0 => {
                     let &(_, lo, hi, _, _) = pick(&mut rng, &shape.nodes);
@@ -441,7 +455,7 @@ mod tests {
     #[test]
     fn json_round_trip_is_exact() {
         for seed in 0..20 {
-            let s = gen_scenario(seed, seed % 2 == 0);
+            let s = gen_scenario(seed, seed % 2 == 0, false);
             let j = s.to_json();
             let back = Scenario::from_json(&Json::parse(&j.render()).unwrap()).unwrap();
             assert_eq!(s, back, "seed {seed}");
@@ -451,7 +465,7 @@ mod tests {
     #[test]
     fn ample_scenarios_have_no_pins_and_enough_entries() {
         for seed in 0..50 {
-            let s = gen_scenario(seed, true);
+            let s = gen_scenario(seed, true, false);
             assert!(s.entries > Scenario::max_physical_entries(&s.ops));
             assert_eq!(s.ways, s.entries, "single narrow set");
             for op in &s.ops {
@@ -464,14 +478,20 @@ mod tests {
 
     #[test]
     fn generator_is_deterministic() {
-        assert_eq!(gen_scenario(42, false), gen_scenario(42, false));
-        assert_ne!(gen_scenario(1, false).ops, gen_scenario(2, false).ops);
+        assert_eq!(
+            gen_scenario(42, false, false),
+            gen_scenario(42, false, false)
+        );
+        assert_ne!(
+            gen_scenario(1, false, false).ops,
+            gen_scenario(2, false, false).ops
+        );
     }
 
     #[test]
     fn ranges_are_well_formed() {
         for seed in 0..80 {
-            for op in gen_scenario(seed, seed % 3 == 0).ops {
+            for op in gen_scenario(seed, seed % 3 == 0, false).ops {
                 if let Op::Insert { lo, hi, bytes, .. } = op {
                     assert!(lo <= hi, "seed {seed}: inverted range");
                     assert!(bytes > 0);
@@ -484,8 +504,8 @@ mod tests {
     fn crud_generator_emits_invalidations_and_round_trips() {
         let mut saw_invalidate = 0;
         for seed in 0..40 {
-            let s = gen_scenario_crud(seed, seed % 2 == 0);
-            assert_eq!(s, gen_scenario_crud(seed, seed % 2 == 0));
+            let s = gen_scenario(seed, seed % 2 == 0, true);
+            assert_eq!(s, gen_scenario(seed, seed % 2 == 0, true));
             let j = s.to_json();
             let back = Scenario::from_json(&Json::parse(&j.render()).unwrap()).unwrap();
             assert_eq!(s, back, "seed {seed}");
@@ -504,6 +524,9 @@ mod tests {
         // Same seed, different stream constant: the mutating swarm must
         // not replay the read-only swarm's cases (which would shrink
         // combined coverage) and must leave its corpus byte-stable.
-        assert_ne!(gen_scenario_crud(7, false).ops, gen_scenario(7, false).ops);
+        assert_ne!(
+            gen_scenario(7, false, true).ops,
+            gen_scenario(7, false, false).ops
+        );
     }
 }

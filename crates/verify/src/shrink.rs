@@ -1,51 +1,67 @@
-//! Scenario shrinking: reduce a failing case to a short, readable repro.
+//! Case shrinking: reduce a failing case to a short, readable repro.
 //!
-//! Classic delta-debugging over the op list (drop exponentially smaller
-//! chunks while the scenario still fails), followed by value-level
-//! simplification (shrink keys toward the scenario's base, bytes toward
-//! 64, lives toward 0, geometry toward minimal). Every candidate is
-//! re-run under the same predicate, so the output is guaranteed to still
-//! diverge; a bounded pass count keeps worst-case time predictable.
+//! Classic delta-debugging over the case's item list (drop
+//! exponentially smaller chunks while the case still fails), followed
+//! by value-level simplification (geometry moves, then simpler
+//! variants of each item). Every candidate is re-run under the same
+//! predicate, so the output is guaranteed to still diverge; a bounded
+//! pass count keeps worst-case time predictable. One shrinker serves
+//! every corpus kind through [`Case`].
 
-use crate::scenario::{Op, Scenario};
+use crate::check::Divergence;
+use metal_obs::Json;
 
-/// Re-establishes the invariants a candidate must keep for the checks to
-/// stay sound: `ample` scenarios promise "no eviction is possible", so
-/// after any mutation their geometry is resized back to the single-set,
-/// above-worst-case shape. Tight candidates only need basic sanity.
-fn normalize(c: &mut Scenario) {
-    if c.ample {
-        c.entries = Scenario::max_physical_entries(&c.ops) + 2;
-        c.ways = c.entries;
-    } else {
-        c.entries = c.entries.max(2);
-        c.ways = c.ways.clamp(1, c.entries);
-    }
+/// A corpus case kind: the item list and edits the shrinker works
+/// with, the full differential check it must keep failing, and the
+/// JSON the repro bank writes and the corpus replay reads.
+pub trait Case: Clone + PartialEq + 'static {
+    /// One element of the case's item list (an op, a request).
+    type Item: Copy + PartialEq;
+    /// The corpus `kind` tag, also the repro file name's prefix.
+    const KIND: &'static str;
+    /// The item list's name (its JSON field, its noun in reports).
+    const ITEMS: &'static str;
+    /// Geometry simplifications, tried in this order every round.
+    const MOVES: &'static [fn(&mut Self)];
+    /// The item list ddmin removes chunks from.
+    fn items(&self) -> &[Self::Item];
+    /// Mutable access to the item list.
+    fn items_mut(&mut self) -> &mut Vec<Self::Item>;
+    /// Simpler variants of one item, tried in this order.
+    fn simpler(item: &Self::Item) -> Vec<Self::Item>;
+    /// Re-establishes the invariants a candidate must keep for the
+    /// checks to stay sound after any edit.
+    fn normalize(&mut self) {}
+    /// Every check this kind of case must pass.
+    fn check(&self) -> Result<(), Divergence>;
+    /// Serializes to the corpus JSON schema (`kind: KIND`).
+    fn to_json(&self) -> Json;
+    /// Parses the corpus JSON schema. Returns `None` on any shape
+    /// mismatch (corpus files are hand-editable; a replay must fail
+    /// loudly rather than silently skip a malformed repro).
+    fn from_json(j: &Json) -> Option<Self>;
 }
 
-/// Returns the smallest still-failing scenario `fails` accepts, starting
-/// from `s` (which must fail).
-pub fn shrink_scenario<F>(s: &Scenario, fails: F) -> Scenario
-where
-    F: Fn(&Scenario) -> bool,
-{
-    debug_assert!(fails(s), "shrink needs a failing input");
-    let mut best = s.clone();
+/// Returns the smallest still-failing case `fails` accepts, starting
+/// from `case` (which must fail).
+pub fn shrink<C: Case>(case: &C, fails: impl Fn(&C) -> bool) -> C {
+    debug_assert!(fails(case), "shrink needs a failing input");
+    let mut best = case.clone();
 
-    // Pass 1: ddmin over ops — remove chunks, halving the granularity.
-    let mut chunk = best.ops.len().div_ceil(2).max(1);
+    // Pass 1: ddmin over items — remove chunks, halving the granularity.
+    let mut chunk = best.items().len().div_ceil(2).max(1);
     while chunk >= 1 {
         let mut removed_any = false;
         let mut start = 0;
-        while start < best.ops.len() {
+        while start < best.items().len() {
             let mut candidate = best.clone();
-            let end = (start + chunk).min(candidate.ops.len());
-            candidate.ops.drain(start..end);
-            normalize(&mut candidate);
-            if !candidate.ops.is_empty() && fails(&candidate) {
+            let end = (start + chunk).min(candidate.items().len());
+            candidate.items_mut().drain(start..end);
+            candidate.normalize();
+            if !candidate.items().is_empty() && fails(&candidate) {
                 best = candidate;
                 removed_any = true;
-                // Same `start` now points at fresh ops.
+                // Same `start` now points at fresh items.
             } else {
                 start += chunk;
             }
@@ -61,157 +77,24 @@ where
     // Pass 2: value simplification, to fixpoint (bounded).
     for _ in 0..8 {
         let mut progressed = false;
-
-        // Geometry: fewer entries / ways / bits, zero wide partition.
-        for f in [
-            (|c: &mut Scenario| c.entries /= 2) as fn(&mut Scenario),
-            |c| c.ways = 1,
-            |c| c.ways = c.entries,
-            |c| c.key_block_bits /= 2,
-            |c| c.wide_pct = 0,
-        ] {
+        for f in C::MOVES {
             let mut candidate = best.clone();
             f(&mut candidate);
-            normalize(&mut candidate);
+            candidate.normalize();
             if candidate != best && fails(&candidate) {
                 best = candidate;
                 progressed = true;
             }
         }
-
-        // Ops: simplify one field at a time.
-        for i in 0..best.ops.len() {
-            let variants: Vec<Op> = match best.ops[i] {
-                Op::Insert {
-                    index,
-                    node,
-                    lo,
-                    hi,
-                    level,
-                    bytes,
-                    life,
-                } => vec![
-                    Op::Insert {
-                        index,
-                        node,
-                        lo,
-                        hi,
-                        level,
-                        bytes: 64,
-                        life,
-                    },
-                    Op::Insert {
-                        index,
-                        node,
-                        lo,
-                        hi,
-                        level,
-                        bytes,
-                        life: 0,
-                    },
-                    Op::Insert {
-                        index,
-                        node,
-                        lo,
-                        hi,
-                        level: 0,
-                        bytes,
-                        life,
-                    },
-                    Op::Insert {
-                        index,
-                        node: 1,
-                        lo,
-                        hi,
-                        level,
-                        bytes,
-                        life,
-                    },
-                    Op::Insert {
-                        index: 0,
-                        node,
-                        lo,
-                        hi,
-                        level,
-                        bytes,
-                        life,
-                    },
-                    Op::Insert {
-                        index,
-                        node,
-                        lo,
-                        hi: lo,
-                        level,
-                        bytes,
-                        life,
-                    },
-                    Op::Insert {
-                        index,
-                        node,
-                        lo: hi,
-                        hi,
-                        level,
-                        bytes,
-                        life,
-                    },
-                    Op::Insert {
-                        index,
-                        node,
-                        lo: lo / 2,
-                        hi: hi / 2,
-                        level,
-                        bytes,
-                        life,
-                    },
-                ],
-                Op::Probe { index, key } => vec![
-                    Op::Probe { index: 0, key },
-                    Op::Probe {
-                        index,
-                        key: key / 2,
-                    },
-                    Op::Probe { index, key: 0 },
-                ],
-                Op::Invalidate {
-                    index,
-                    level,
-                    lo,
-                    hi,
-                } => vec![
-                    Op::Invalidate {
-                        index: 0,
-                        level,
-                        lo,
-                        hi,
-                    },
-                    Op::Invalidate {
-                        index,
-                        level: crate::scenario::ALL_LEVELS,
-                        lo,
-                        hi,
-                    },
-                    Op::Invalidate {
-                        index,
-                        level,
-                        lo,
-                        hi: lo,
-                    },
-                    Op::Invalidate {
-                        index,
-                        level,
-                        lo: lo / 2,
-                        hi: hi / 2,
-                    },
-                ],
-                Op::Flush => vec![],
-            };
-            for v in variants {
-                if v == best.ops[i] {
+        // Items: simplify one field at a time.
+        for i in 0..best.items().len() {
+            for v in C::simpler(&best.items()[i]) {
+                if v == best.items()[i] {
                     continue;
                 }
                 let mut candidate = best.clone();
-                candidate.ops[i] = v;
-                normalize(&mut candidate);
+                candidate.items_mut()[i] = v;
+                candidate.normalize();
                 if fails(&candidate) {
                     best = candidate;
                     progressed = true;
@@ -228,7 +111,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::gen_scenario;
+    use crate::scenario::{gen_scenario, Op, Scenario};
 
     #[test]
     fn shrinks_to_single_triggering_op() {
@@ -240,11 +123,11 @@ mod tests {
                 .any(|op| matches!(op, Op::Insert { bytes, .. } if *bytes > 500))
         };
         for seed in 0..200 {
-            let s = gen_scenario(seed, false);
+            let s = gen_scenario(seed, false, false);
             if !fails(&s) {
                 continue;
             }
-            let small = shrink_scenario(&s, fails);
+            let small = shrink(&s, fails);
             assert_eq!(small.ops.len(), 1, "seed {seed}: {:?}", small.ops);
             assert!(fails(&small));
             return; // one generated witness is enough
@@ -262,9 +145,9 @@ mod tests {
                 >= 3
         };
         for seed in 0..50 {
-            let s = gen_scenario(seed, true);
+            let s = gen_scenario(seed, true, false);
             if fails(&s) {
-                let small = shrink_scenario(&s, fails);
+                let small = shrink(&s, fails);
                 assert!(fails(&small));
                 assert!(small.ops.len() <= s.ops.len());
                 return;

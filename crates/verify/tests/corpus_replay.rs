@@ -8,13 +8,21 @@
 //! armed.
 
 use metal_obs::Json;
-use metal_verify::check::{check_translation, run_scenario};
-use metal_verify::native::{check_native_case, NativeCase};
+use metal_verify::native::NativeCase;
 use metal_verify::scenario::Scenario;
+use metal_verify::shrink::Case;
 use std::path::Path;
 
 fn corpus_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus"))
+}
+
+/// Parses one repro of kind `C` and runs the kind's full check.
+fn replay<C: Case>(name: &str, json: &Json) {
+    let case = C::from_json(json).unwrap_or_else(|| panic!("{name}: malformed {} case", C::KIND));
+    if let Err(d) = case.check() {
+        panic!("{name}: regressed: {d}");
+    }
 }
 
 #[test]
@@ -30,31 +38,11 @@ fn every_corpus_repro_replays_clean() {
         let text = std::fs::read_to_string(&path).unwrap();
         let json = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: bad JSON: {e:?}"));
         match json.get("kind").and_then(Json::as_str) {
-            Some("ix") => {
-                let s = Scenario::from_json(&json)
-                    .unwrap_or_else(|| panic!("{name}: malformed ix scenario"));
-                if let Err(d) = run_scenario(&s) {
-                    panic!("{name}: regressed: {d}");
-                }
-                if s.ample {
-                    for delta in [1, 1 << 20, u64::MAX / 2] {
-                        if let Err(d) = check_translation(&s, delta) {
-                            panic!("{name}: translation regressed (delta {delta}): {d}");
-                        }
-                    }
-                }
-                replayed += 1;
-            }
-            Some("native") => {
-                let c = NativeCase::from_json(&json)
-                    .unwrap_or_else(|| panic!("{name}: malformed native case"));
-                if let Err(d) = check_native_case(&c) {
-                    panic!("{name}: regressed: {d}");
-                }
-                replayed += 1;
-            }
+            Some(Scenario::KIND) => replay::<Scenario>(&name, &json),
+            Some(NativeCase::KIND) => replay::<NativeCase>(&name, &json),
             kind => panic!("{name}: unknown corpus kind {kind:?}"),
         }
+        replayed += 1;
     }
     println!("replayed {replayed} corpus repros");
 }
