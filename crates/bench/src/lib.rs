@@ -260,7 +260,6 @@ impl HarnessArgs {
         RunConfig::default()
             .with_shards(self.shards)
             .with_shard_walks(self.shard_walks.max(1))
-            .with_epoch(self.epoch)
             .with_backend(self.backend)
             .with_mlp_width(self.mlp_width.max(1))
     }
@@ -929,7 +928,6 @@ mod tests {
         assert_eq!(a.epoch, Some(EpochSpec::Walks(512)));
         assert_eq!(a.series_out, Some(PathBuf::from("out/SERIES.json")));
         assert_eq!(a.flight_out, Some(PathBuf::from("out/flight.jsonl")));
-        assert_eq!(a.run_config().epoch, Some(EpochSpec::Walks(512)));
         assert_eq!(
             args("--epoch cycles:9000").epoch,
             Some(EpochSpec::Cycles(9000))

@@ -41,10 +41,7 @@ fn analyze(built: &BuiltWorkload, workers: usize, epoch: EpochSpec) -> TraceAnal
         stall_cycles: None,
         total_cycles: None,
     };
-    let cfg = RunConfig::default()
-        .with_shards(workers)
-        .with_epoch(Some(epoch))
-        .with_obs(obs);
+    let cfg = RunConfig::default().with_shards(workers).with_obs(obs);
     run_built(built, CACHE_BYTES, cfg);
     registry.snapshot()
 }
@@ -121,7 +118,7 @@ fn check_workload(built: &BuiltWorkload) {
         );
     }
 
-    // ...and through the full document validator (the ci.sh gate).
+    // ...and through the full document validator (`analyze --validate`).
     let alerts = scan_analysis(&serial, &WatchdogConfig::default());
     let doc = analysis_document(&serial, &alerts);
     validate_analysis(&doc).unwrap_or_else(|e| {

@@ -85,12 +85,6 @@ impl IxConfig {
             ..Self::kb64()
         }
     }
-
-    /// Overrides the key-block bits.
-    pub fn with_key_block_bits(mut self, b: u32) -> Self {
-        self.key_block_bits = b;
-        self
-    }
 }
 
 /// A successful probe: where the walk may restart.

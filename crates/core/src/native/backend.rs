@@ -505,7 +505,6 @@ fn run_native_shard(
         make(&ShardCtx {
             design: spec.label().to_string(),
             shard,
-            epoch: cfg.epoch,
         })
     });
     let mut metal = MetalState::new(spec, exp, cfg.sim.lanes);

@@ -486,12 +486,6 @@ impl PagedTree {
         self.file.free_pages()
     }
 
-    /// Consumes the tree, returning its block file (e.g. to persist and
-    /// reopen it).
-    pub fn into_file(self) -> BlockFile {
-        self.file
-    }
-
     /// Reads node `id` into a node the caller owns: a clone of its hot
     /// copy when the IX-cache keeps it resident, of its staged copy when
     /// an MLP scout read it ahead of demand, of its tombstone when

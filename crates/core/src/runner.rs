@@ -30,7 +30,6 @@ use crate::descriptor::Descriptor;
 use crate::ixcache::IxConfig;
 use crate::models::{DesignModel, DesignSpec, Experiment};
 use metal_sim::engine::Engine;
-use metal_sim::epoch::EpochSpec;
 use metal_sim::obs::SharedSink;
 use metal_sim::stats::RunStats;
 use metal_sim::SimConfig;
@@ -48,10 +47,6 @@ pub struct ShardCtx {
     pub design: String,
     /// Logical shard index within the design's request stream.
     pub shard: u64,
-    /// Telemetry window width ([`RunConfig::epoch`]), so sinks that
-    /// aggregate per epoch slice this shard's stream the way the run
-    /// asked for. `None` when the run is not windowed.
-    pub epoch: Option<EpochSpec>,
 }
 
 /// Builds an event sink for one (design, shard) simulation, or `None` to
@@ -129,11 +124,6 @@ pub struct RunConfig {
     /// Observability hooks (event sinks, progress counter). Observe-only:
     /// never changes simulated results, only what gets recorded.
     pub obs: ObsConfig,
-    /// Telemetry epoch width: slices every shard's event stream into
-    /// deterministic windows for per-epoch aggregation (`metal-obs`
-    /// time series). Observe-only — the boundary is a pure function of
-    /// the stream, so it never changes simulated results.
-    pub epoch: Option<EpochSpec>,
     /// Execution backend: simulate the walks or execute them natively.
     pub backend: Backend,
 }
@@ -152,7 +142,6 @@ impl Default for RunConfig {
             shards: 0,
             shard_walks: DEFAULT_SHARD_WALKS,
             obs: ObsConfig::default(),
-            epoch: None,
             backend: Backend::Sim,
         }
     }
@@ -210,13 +199,6 @@ impl RunConfig {
     /// counter). Observe-only: simulated results are unchanged.
     pub fn with_obs(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Sets the telemetry epoch width (`None` disables windowing).
-    /// Observe-only: simulated results are unchanged.
-    pub fn with_epoch(mut self, epoch: Option<EpochSpec>) -> Self {
-        self.epoch = epoch;
         self
     }
 
@@ -306,7 +288,6 @@ fn run_design_shard(
         make(&ShardCtx {
             design: spec.label().to_string(),
             shard,
-            epoch: cfg.epoch,
         })
     });
     if let Some(s) = &sink {

@@ -102,11 +102,6 @@ impl SparseTensor {
         self.nnz.len()
     }
 
-    /// Non-zeros in stored column of rank `rank` (sorted order).
-    pub fn nnz_of_rank(&self, rank: usize) -> u32 {
-        self.nnz[rank]
-    }
-
     /// The underlying column-id tree (for occupancy diagnostics).
     pub fn tree(&self) -> &BPlusTree {
         &self.tree

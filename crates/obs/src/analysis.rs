@@ -320,8 +320,7 @@ impl StreamAnalyzer {
             }
             Event::DramFetch { addr, .. } => {
                 let block = addr / BLOCK_BYTES;
-                self.reuse.observe(block);
-                self.taxonomy.observe(block);
+                self.taxonomy.classify(self.reuse.observe(block));
             }
             Event::WalkBreakdown {
                 lane,
@@ -1197,7 +1196,7 @@ mod tests {
         let mut trace = TraceAnalysis::default();
         trace.fold("metal", a.finish());
         let rendered = trace.to_json().render();
-        // Inflate the stall component total (the ci.sh sed forge): the
+        // Inflate the stall component total (as `cli_controls` does): the
         // partition row must fail and name the components sum.
         let forged = rendered.replacen("\"stall\":{\"cycles\":33", "\"stall\":{\"cycles\":43", 1);
         assert_ne!(forged, rendered, "forge must hit the stall total");

@@ -78,6 +78,6 @@ pub use ledger::{EntryLedger, LedgerSummary, RegretDelta, RegretMeter, RegretSum
 pub use manifest::{stats_json, ManifestReport, RunManifest};
 pub use metrics::{EventCounts, MetricsRegistry, RegistrySink, TunerRec};
 pub use report::{render_html, render_html_with_measured, MeasuredRow};
-pub use reuse::{FaLru, LogHist, MissTaxonomy, ReuseProfiler, TaxonomyCounts};
+pub use reuse::{LogHist, MissTaxonomy, ReuseProfiler, TaxonomyCounts};
 pub use timeseries::TimeSeries;
 pub use watchdog::{analysis_document, scan_analysis, Alert, AlertKind, WatchdogConfig};

@@ -10,15 +10,16 @@
 //! access, so the profiler streams over arbitrarily long traces without
 //! a second pass.
 //!
-//! The miss taxonomy replays the same block stream against two reference
-//! caches:
+//! The miss taxonomy classifies each access from the distance the
+//! profiler returned for it, against two reference caches:
 //!
-//! - an **unbounded** cache (a seen-set): a block's first touch is a
+//! - an **unbounded** cache: a block's first touch (no distance) is a
 //!   **compulsory** miss;
-//! - a **fully-associative LRU** of the design's entry budget: a
-//!   re-touch the FA-LRU also misses is a **capacity** miss, while a
-//!   re-touch the FA-LRU would have hit is a **conflict** miss
-//!   (attributable to organization, not size).
+//! - a **fully-associative LRU** of the design's entry budget `B`, which
+//!   hits a re-touch exactly when its distance is below `B`: a re-touch
+//!   the FA-LRU also misses is a **capacity** miss, while a re-touch the
+//!   FA-LRU would have hit is a **conflict** miss (attributable to
+//!   organization, not size).
 //!
 //! Both are order-sensitive within one stream but the resulting
 //! histograms and counters are plain sums, so per-shard results merge
@@ -26,7 +27,7 @@
 //! [`crate::analysis`]).
 
 use crate::json::Json;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Base-2 logarithmic histogram: bucket `b` counts values with exactly
 /// `b` significant bits (`0 → bucket 0`, `1 → 1`, `2..=3 → 2`, …,
@@ -196,49 +197,6 @@ impl ReuseProfiler {
     }
 }
 
-/// Fully-associative LRU over block addresses: the reference cache that
-/// separates capacity from conflict misses. Allocate-on-miss, no
-/// write-back modelling — only hit/miss behaviour matters here.
-#[derive(Debug)]
-pub struct FaLru {
-    cap: usize,
-    tick: u64,
-    /// Block → last-use tick.
-    last: HashMap<u64, u64>,
-    /// (last-use tick, block), ordered; first element is the LRU victim.
-    order: BTreeSet<(u64, u64)>,
-}
-
-impl FaLru {
-    /// Creates an empty cache holding at most `cap` blocks (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Self {
-        FaLru {
-            cap: cap.max(1),
-            tick: 0,
-            last: HashMap::new(),
-            order: BTreeSet::new(),
-        }
-    }
-
-    /// Accesses `block`: returns whether it hit, allocating (and
-    /// evicting the least recently used block if full) on a miss.
-    pub fn access(&mut self, block: u64) -> bool {
-        self.tick += 1;
-        if let Some(prev) = self.last.insert(block, self.tick) {
-            self.order.remove(&(prev, block));
-            self.order.insert((self.tick, block));
-            return true;
-        }
-        if self.last.len() > self.cap {
-            let victim = *self.order.iter().next().expect("cache is non-empty");
-            self.order.remove(&victim);
-            self.last.remove(&victim.1);
-        }
-        self.order.insert((self.tick, block));
-        false
-    }
-}
-
 /// Per-class miss counts. A classified access is always a miss of the
 /// design under study (the block stream is the design's DRAM traffic).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -275,11 +233,11 @@ impl TaxonomyCounts {
     }
 }
 
-/// Streaming compulsory / capacity / conflict classifier.
+/// Streaming compulsory / capacity / conflict classifier over the reuse
+/// distances a [`ReuseProfiler`] returns for the same block stream.
 #[derive(Debug)]
 pub struct MissTaxonomy {
-    seen: HashSet<u64>,
-    reference: FaLru,
+    budget: u64,
     counts: TaxonomyCounts,
 }
 
@@ -288,24 +246,30 @@ impl MissTaxonomy {
     /// `budget_blocks` blocks (the design's capacity in 64 B blocks).
     pub fn new(budget_blocks: usize) -> Self {
         MissTaxonomy {
-            seen: HashSet::new(),
-            reference: FaLru::new(budget_blocks),
+            budget: budget_blocks.max(1) as u64,
             counts: TaxonomyCounts::default(),
         }
     }
 
-    /// Classifies one fetched block.
-    pub fn observe(&mut self, block: u64) {
-        let first = self.seen.insert(block);
-        // The reference must observe every access, including first
-        // touches, to model recency faithfully.
-        let ref_hit = self.reference.access(block);
-        if first {
-            self.counts.compulsory += 1;
-        } else if ref_hit {
-            self.counts.conflict += 1;
-        } else {
-            self.counts.capacity += 1;
+    /// Classifies one fetched block from its reuse distance (`None` for
+    /// a first touch, as [`ReuseProfiler::observe`] returns it) and
+    /// returns whether the fully-associative LRU reference hit: an LRU
+    /// of `B` blocks holds exactly the `B` most recently used ones, so
+    /// it hits a re-touch iff fewer than `B` distinct blocks came between.
+    pub fn classify(&mut self, dist: Option<u64>) -> bool {
+        match dist {
+            None => {
+                self.counts.compulsory += 1;
+                false
+            }
+            Some(d) if d < self.budget => {
+                self.counts.conflict += 1;
+                true
+            }
+            Some(_) => {
+                self.counts.capacity += 1;
+                false
+            }
         }
     }
 
@@ -378,24 +342,17 @@ mod tests {
     }
 
     #[test]
-    fn fa_lru_evicts_least_recently_used() {
-        let mut c = FaLru::new(2);
-        assert!(!c.access(1));
-        assert!(!c.access(2));
-        assert!(c.access(1)); // refresh 1; LRU is now 2
-        assert!(!c.access(3)); // evicts 2
-        assert!(c.access(1));
-        assert!(!c.access(2), "2 was evicted");
-    }
-
-    #[test]
     fn taxonomy_separates_the_three_classes() {
         // Budget 2; stream: a b c a  → a,b,c compulsory; the re-touch of
         // `a` misses the FA-LRU too (a was evicted by c) → capacity.
-        let mut t = MissTaxonomy::new(2);
-        for b in [1, 2, 3, 1] {
-            t.observe(b);
-        }
+        let classify = |budget| {
+            let (mut reuse, mut t) = (ReuseProfiler::new(), MissTaxonomy::new(budget));
+            for b in [1, 2, 3, 1] {
+                t.classify(reuse.observe(b));
+            }
+            t
+        };
+        let t = classify(2);
         assert_eq!(
             *t.counts(),
             TaxonomyCounts {
@@ -405,10 +362,7 @@ mod tests {
             }
         );
         // Budget 8: the same re-touch would hit the reference → conflict.
-        let mut t = MissTaxonomy::new(8);
-        for b in [1, 2, 3, 1] {
-            t.observe(b);
-        }
+        let t = classify(8);
         assert_eq!(t.counts().conflict, 1);
         assert_eq!(t.counts().capacity, 0);
     }

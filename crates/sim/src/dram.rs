@@ -148,20 +148,6 @@ impl Dram {
         &self.cfg
     }
 
-    /// Earliest cycle at which a new access could start right now
-    /// (diagnostic; used by tests and the bandwidth-region classifier).
-    pub fn earliest_start(&self, now: u64) -> Cycles {
-        let mut best = Cycles::new(u64::MAX);
-        for &b in &self.bank_free {
-            best = if b < best { b } else { best };
-        }
-        let mut bus = Cycles::new(u64::MAX);
-        for &b in &self.bus_free {
-            bus = if b < bus { b } else { bus };
-        }
-        Cycles::new(now).max(best).max(bus)
-    }
-
     /// Resets timing state but keeps statistics (used between measurement
     /// phases that should not inherit queue backlog).
     pub fn drain(&mut self) {

@@ -10,14 +10,15 @@
 //!   actual future for the victim's re-reference vs the incoming
 //!   entry's first hit) — `O(evictions × events)`, no windows, no
 //!   incremental state. The streaming `RegretMeter` must agree exactly.
-//! - [`check_taxonomy_references`] diffs the taxonomy's hand-rolled
-//!   fully-associative LRU against [`crate::refcache::RefSetLru`]
-//!   (degenerate single-set configuration) access by access, and pins
+//! - [`check_taxonomy_references`] diffs the taxonomy's classification,
+//!   derived from the reuse profiler's stack distances, against
+//!   [`crate::refcache::RefSetLru`] (degenerate single-set
+//!   configuration) access by access, and pins
 //!   the Belady bound: the taxonomy's `compulsory + capacity` is the
 //!   FA-LRU miss count, which [`OptCache`] (optimal by
 //!   construction) can never exceed at equal capacity.
 
-use metal_obs::reuse::{FaLru, MissTaxonomy};
+use metal_obs::reuse::{MissTaxonomy, ReuseProfiler};
 use metal_obs::{LogHist, RegretSummary};
 use metal_sim::caches::OptCache;
 use metal_sim::obs::Event;
@@ -98,7 +99,7 @@ pub fn naive_regret(events: &[(u64, Event)]) -> RegretSummary {
 pub fn check_taxonomy_references(seed: u64) -> Result<(), String> {
     let entries = 64;
     let mut rng = SplitRng::stream(seed, 0x7a11);
-    let mut obs_lru = FaLru::new(entries);
+    let mut reuse = ReuseProfiler::new();
     let mut ref_lru = RefSetLru::new(entries, entries);
     let mut taxonomy = MissTaxonomy::new(entries);
     let mut trace = Vec::new();
@@ -110,14 +111,15 @@ pub fn check_taxonomy_references(seed: u64) -> Result<(), String> {
         } else {
             rng.gen_range(0u64..1024)
         };
-        let got = obs_lru.access(block);
+        let dist = reuse.observe(block);
+        let got = taxonomy.classify(dist);
         let want = ref_lru.access(block);
         if got != want {
             return Err(format!(
-                "seed {seed} op {op}: FaLru {got} but RefSetLru {want} for block {block}"
+                "seed {seed} op {op}: taxonomy reference hit {got} (reuse distance \
+                 {dist:?}) but RefSetLru {want} for block {block}"
             ));
         }
-        taxonomy.observe(block);
         trace.push(BlockAddr::new(block));
     }
     let counts = taxonomy.counts();
